@@ -15,8 +15,8 @@ anywhere.  The main objects:
 * Hecke operators and the commuting difference operators they generate.
 """
 
-from .errors import (InvalidPartitionError, MacruiError, NonDivisibleError,
-                     NotSymmetricError, ScalarDivisionError,
+from .errors import (InvalidPartitionError, MacruiError, MalformedInputError,
+                     NonDivisibleError, NotSymmetricError, ScalarDivisionError,
                      SingularSystemError, SpaceMismatchError,
                      SpecialParameterError)
 from .scalar import (P_ONE, P_Q, P_T, P_ZERO, QTPolynomial, QTScalar, S_ONE,

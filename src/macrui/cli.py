@@ -13,7 +13,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import MacruiError
+from .errors import MacruiError, MalformedInputError, NonDivisibleError
 from . import jsonio
 from . import partitions as pt
 from .macdonald import (macdonald_polynomial, macdonald_tableau_sum,
@@ -30,12 +30,23 @@ def parse_partition(text):
     """Comma-separated integers; the empty string is the empty partition."""
     if text is None or text.strip() == "":
         return ()
-    return pt.as_partition(int(x) for x in text.split(","))
+    try:
+        parts = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise MalformedInputError(
+            f"a partition is comma-separated integers, got {text!r}") from None
+    return pt.as_partition(parts)
 
 
 def parse_at(text):
-    q0, t0 = (Fraction(x.strip()) for x in text.split(","))
-    return q0, t0
+    """Exact rational parameters "q0,t0", for example "1/2,2"."""
+    parts = text.split(",")
+    if len(parts) == 2:
+        try:
+            return tuple(Fraction(x.strip()) for x in parts)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise MalformedInputError(f"--at needs two exact rationals q0,t0, got {text!r}")
 
 
 def _thread_cap():
@@ -84,12 +95,19 @@ def _scalar_result(request, s, args):
     return 0
 
 
+def _parse_json(text, source):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedInputError(f"{source} is not valid JSON: {exc}") from None
+
+
 def _load_poly(args):
     if args.poly:
-        return jsonio.poly_from_json(json.loads(args.poly))
+        return jsonio.poly_from_json(_parse_json(args.poly, "--poly"))
     if args.poly_file:
         with open(args.poly_file) as fh:
-            return jsonio.poly_from_json(json.load(fh))
+            return jsonio.poly_from_json(_parse_json(fh.read(), args.poly_file))
     return None
 
 
@@ -284,13 +302,11 @@ def main(argv=None):
     try:
         _thread_cap()
         return _run(args)
-    except MacruiError as exc:
-        print(json.dumps({"error": {"kind": type(exc).__name__, "message": str(exc)}},
-                         sort_keys=True))
-        return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": {"kind": type(exc).__name__, "message": str(exc)}},
-                         sort_keys=True))
+    except (MacruiError, ValueError, OSError) as exc:
+        error = {"kind": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, NonDivisibleError) and exc.remainder is not None:
+            error["remainder"] = jsonio.poly_to_json(exc.remainder)
+        print(json.dumps({"error": error}, sort_keys=True))
         return 1
 
 

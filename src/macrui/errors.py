@@ -44,3 +44,7 @@ class InvalidPartitionError(MacruiError):
 
 class SingularSystemError(MacruiError):
     """A linear solve had no unique solution (variable count too small)."""
+
+
+class MalformedInputError(MacruiError):
+    """Input at the JSON or command-line boundary does not match its schema."""

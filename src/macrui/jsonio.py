@@ -4,16 +4,45 @@ Scalars serialize numerator and denominator as lists of
 [q_exponent, t_exponent, coefficient-as-decimal-string] triples sorted by
 (q_exponent, t_exponent); polynomials as a term list of {"exp", "coeff"}
 with exponents in block order; partitions as plain integer arrays.  All
-emitters sort, so equal values produce identical bytes.
+emitters sort, so equal values produce identical bytes.  The readers check
+the schema and raise MalformedInputError on input that does not match it.
 """
 
 from __future__ import annotations
 
-from .errors import MacruiError
+from .errors import MalformedInputError
 from .partitions import as_partition
 from .polyring import MultiPoly, VarSpace
 from .scalar import QTPolynomial, QTScalar
 from .symfun import SymExpansion
+
+
+def _field(data, key, what):
+    if not isinstance(data, dict):
+        raise MalformedInputError(f"{what} must be a JSON object, got {data!r}")
+    if key not in data:
+        raise MalformedInputError(f"{what} has no {key!r} field")
+    return data[key]
+
+
+def _array(data, what):
+    if not isinstance(data, list):
+        raise MalformedInputError(f"{what} must be a JSON array, got {data!r}")
+    return data
+
+
+def _int(x, what, minimum=None):
+    """An integer given as a JSON number or a decimal string."""
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
+        try:
+            v = int(x)
+        except ValueError:
+            pass
+        else:
+            if minimum is None or v >= minimum:
+                return v
+    bound = "" if minimum is None else f" >= {minimum}"
+    raise MalformedInputError(f"{what} must be an integer{bound}, got {x!r}")
 
 
 def qtpoly_to_json(p):
@@ -21,7 +50,15 @@ def qtpoly_to_json(p):
 
 
 def qtpoly_from_json(data):
-    return QTPolynomial({(int(a), int(b)): int(c) for a, b, c in data})
+    terms = {}
+    for term in _array(data, "a q,t polynomial"):
+        if not isinstance(term, list) or len(term) != 3:
+            raise MalformedInputError(
+                f"q,t polynomial terms are [q_exponent, t_exponent, coefficient], got {term!r}")
+        a, b, c = term
+        terms[(_int(a, "a q exponent", 0), _int(b, "a t exponent", 0))] = \
+            _int(c, "a coefficient")
+    return QTPolynomial(terms)
 
 
 def scalar_to_json(s):
@@ -29,7 +66,8 @@ def scalar_to_json(s):
 
 
 def scalar_from_json(data):
-    return QTScalar(qtpoly_from_json(data["num"]), qtpoly_from_json(data["den"]))
+    return QTScalar(qtpoly_from_json(_field(data, "num", "a scalar")),
+                    qtpoly_from_json(_field(data, "den", "a scalar")))
 
 
 def space_to_json(space):
@@ -39,11 +77,13 @@ def space_to_json(space):
 
 
 def space_from_json(data):
-    if data["kind"] == "z":
-        return VarSpace.z(int(data["N"]))
-    if data["kind"] == "xy":
-        return VarSpace.xy(int(data["n"]), int(data["m"]))
-    raise MacruiError(f"unknown space kind {data.get('kind')!r}")
+    kind = _field(data, "kind", "a space")
+    if kind == "z":
+        return VarSpace.z(_int(_field(data, "N", "a z-space"), "N", 0))
+    if kind == "xy":
+        return VarSpace.xy(_int(_field(data, "n", "an xy-space"), "n", 0),
+                           _int(_field(data, "m", "an xy-space"), "m", 0))
+    raise MalformedInputError(f"unknown space kind {kind!r}")
 
 
 def poly_to_json(f):
@@ -53,8 +93,14 @@ def poly_to_json(f):
 
 
 def poly_from_json(data):
-    space = space_from_json(data["space"])
-    terms = {tuple(t["exp"]): scalar_from_json(t["coeff"]) for t in data["terms"]}
+    space = space_from_json(_field(data, "space", "a polynomial"))
+    terms = {}
+    for t in _array(_field(data, "terms", "a polynomial"), "polynomial terms"):
+        exp = tuple(_int(x, "an exponent", 0)
+                    for x in _array(_field(t, "exp", "a term"), "an exponent vector"))
+        if len(exp) != space.dim:
+            raise MalformedInputError(f"exponent vector {list(exp)} does not fit {space!r}")
+        terms[exp] = scalar_from_json(_field(t, "coeff", "a term"))
     return MultiPoly(space, terms)
 
 
@@ -65,9 +111,13 @@ def expansion_to_json(e):
 
 
 def expansion_from_json(data):
-    coeffs = {as_partition(t["partition"]): scalar_from_json(t["coeff"])
-              for t in data["terms"]}
-    return SymExpansion(data["basis"], int(data["N"]), coeffs)
+    coeffs = {}
+    for t in _array(_field(data, "terms", "an expansion"), "expansion terms"):
+        parts = _array(_field(t, "partition", "a term"), "a partition")
+        lam = as_partition(_int(x, "a part", 1) for x in parts)
+        coeffs[lam] = scalar_from_json(_field(t, "coeff", "a term"))
+    return SymExpansion(_field(data, "basis", "an expansion"),
+                        _int(_field(data, "N", "an expansion"), "N", 0), coeffs)
 
 
 def poly_to_json_at(f, q0, t0):

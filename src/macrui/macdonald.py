@@ -228,29 +228,29 @@ def skew_tableau_sum(lam, mu, N):
 # restriction to two alphabets
 # ---------------------------------------------------------------------------
 
-def macdonald_p_expansion(lam, context=0):
-    """Power-sum expansion of P_lam, stable in the variable count.
+def macdonald_p_expansion(lam):
+    """Power-sum expansion of P_lam, which does not depend on the variable count.
 
-    Computed at max(|lam|, context) + 1 variables; the test suite verifies
-    stability against one extra variable.
+    The m-coefficients are solved at N = |lam|, the fewest variables that
+    hold every partition of |lam|, and rewritten in power-sum products
+    without rendering P_lam as a polynomial.  The test suite checks the
+    result against the route through the polynomial at |lam| + 1 variables.
     """
-    return _macdonald_p_expansion(pt.as_partition(lam), context)
+    return _macdonald_p_expansion(pt.as_partition(lam))
 
 
 @cache
-def _macdonald_p_expansion(lam, context):
+def _macdonald_p_expansion(lam):
     d = pt.weight(lam)
-    nstar = max(d, context) + 1
-    P = macdonald_polynomial(lam, nstar)
-    e = monomial_to_power_expansion(to_monomial_expansion(P))
-    return SymExpansion("p", nstar, e.coeffs)
+    return monomial_to_power_expansion(
+        SymExpansion("m", d, macdonald_m_expansion(lam, d)))
 
 
 def super_macdonald(lam, n, m):
     """The restriction of P_lam to the two-alphabet algebra in (n, m)
     variables; exactly zero when the diagram leaves the fat (n, m)-hook."""
     lam = pt.as_partition(lam)
-    return restrict_p_expansion(macdonald_p_expansion(lam, n + m), n, m)
+    return restrict_p_expansion(macdonald_p_expansion(lam), n, m)
 
 
 class Bitableau:

@@ -15,7 +15,8 @@ from .errors import NotSymmetricError, SingularSystemError
 from . import partitions as pt
 from .linalg import solve_square
 from .polyring import MultiPoly, VarSpace
-from .scalar import (S_ONE, S_Q, S_T, S_ZERO, _coerce, qt_ratio, q_pow, t_pow)
+from .scalar import (P_ONE, QTPolynomial, QTScalar, S_ONE, S_Q, S_T, S_ZERO,
+                     _coerce, qt_gcd, qt_ratio, q_pow, t_pow)
 
 
 class SymExpansion:
@@ -215,21 +216,70 @@ def deformed_newton_sum(r, n, m):
 
 
 @cache
-def _deformed_newton_product(mu, n, m):
-    out = MultiPoly.one(VarSpace.xy(n, m))
+def _cleared_newton_image(mu, n, m):
+    """The image of p_mu times s_mu = prod_k (1 - t^{mu_k}), which clears its
+    denominators: prod_k ((1 - t^{mu_k}) p_{mu_k}(x) + (1 - q^{mu_k}) p_{mu_k}(y)).
+
+    Returns s_mu and the image as a map from exponent vectors to QTPolynomial
+    coefficients.
+    """
+    dim = n + m
+    s_mu = P_ONE
+    image = {(0,) * dim: P_ONE}
     for k in mu:
-        out = out * deformed_newton_sum(k, n, m)
-    return out
+        x_factor = P_ONE - QTPolynomial.monomial(0, k)
+        y_factor = P_ONE - QTPolynomial.monomial(k, 0)
+        s_mu = s_mu * x_factor
+        nxt = {}
+        for e, c in image.items():
+            for i in range(dim):
+                f = e[:i] + (e[i] + k,) + e[i + 1:]
+                v = c * (x_factor if i < n else y_factor)
+                prev = nxt.get(f)
+                if prev is not None:
+                    v = prev + v
+                if v:
+                    nxt[f] = v
+                else:
+                    del nxt[f]
+        image = nxt
+    return s_mu, image
 
 
 def restrict_p_expansion(e, n, m):
-    """Image of a p-expansion under p_r -> deformed Newton sum in (n, m) variables."""
+    """Image of a p-expansion under p_r -> deformed Newton sum in (n, m) variables.
+
+    Each c_mu p_mu maps to (c_mu / s_mu) times its cleared image.  Each
+    c_mu / s_mu is reduced and put over one common denominator L, two gcds
+    per mu; the numerators are summed in Z[q, t] with no gcd, and each
+    output coefficient is reduced once against L.  Reducing c_mu / s_mu
+    before it joins L keeps L small, which saves more in the final
+    reductions than the extra gcd costs.
+    """
     if e.basis != "p":
         raise ValueError("restriction acts on p-expansions")
-    out = MultiPoly.zero(VarSpace.xy(n, m))
+    parts = []
+    common = P_ONE
     for mu, c in e.coeffs.items():
-        out = out + _deformed_newton_product(mu, n, m).scale(c)
-    return out
+        s_mu, image = _cleared_newton_image(mu, n, m)
+        num, den = c.num, c.den
+        if s_mu.terms != P_ONE.terms:
+            g = qt_gcd(num, s_mu)
+            num, den = num.exact_divide(g), den * s_mu.exact_divide(g)
+        if common.terms == P_ONE.terms:
+            common = den
+        elif den.terms != P_ONE.terms:
+            common = common * den.exact_divide(qt_gcd(common, den))
+        parts.append((num, den, image))
+    sums = {}
+    for num, den, image in parts:
+        factor = num * common.exact_divide(den)
+        for exp, coeff in image.items():
+            v = factor * coeff
+            prev = sums.get(exp)
+            sums[exp] = v if prev is None else prev + v
+    return MultiPoly._raw(VarSpace.xy(n, m),
+                          {exp: QTScalar(v, common) for exp, v in sums.items() if v})
 
 
 def in_deformed_algebra(f):

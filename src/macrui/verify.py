@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+from .errors import MacruiError
 from . import partitions as pt
 from .linalg import vectors_rank
 from .macdonald import (branching_coefficients, macdonald_polynomial,
@@ -342,9 +343,14 @@ SUITES = {
 
 
 def run_suite(name, max_weight):
-    """Run one named suite; returns a deterministic report dictionary."""
+    """Run one named suite; returns a deterministic report dictionary.
+
+    A run that checked nothing is not ok.
+    """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if max_weight < 0:
+        raise MacruiError(f"max_weight must be nonnegative, got {max_weight}")
     checks = SUITES[name](max_weight)
     failed = sum(1 for c in checks if not c["passed"])
     return {
@@ -353,6 +359,6 @@ def run_suite(name, max_weight):
         "total": len(checks),
         "passed": len(checks) - failed,
         "failed": failed,
-        "ok": failed == 0,
+        "ok": failed == 0 and len(checks) > 0,
         "checks": checks,
     }

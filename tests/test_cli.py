@@ -12,6 +12,7 @@ from macrui.macdonald import macdonald_polynomial, super_macdonald
 from macrui.polyring import MultiPoly, VarSpace
 from macrui.scalar import S_ONE, S_Q, S_T, qt_ratio
 from macrui.symfun import SymExpansion
+from macrui.verify import run_suite
 
 
 def run_cli(argv):
@@ -201,3 +202,41 @@ def test_verify_text_format():
     assert code == 0
     assert out.startswith("suite identities")
     assert "[ok  ]" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigenvalue", "--lambda", "1", "--at", "1/0,2"],
+    ["apply-mr", "--poly", "{}"],
+    ["apply-mr", "--poly", "[1]"],
+])
+def test_malformed_input_is_structured_error(argv):
+    code, out = run_cli(argv)
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "MalformedInputError"
+
+
+def test_non_divisible_error_keeps_remainder():
+    # x1 + y1 is symmetric in each block but not in the deformed algebra
+    sp = VarSpace.xy(1, 1)
+    f = MultiPoly.variable(sp, 0) + MultiPoly.variable(sp, 1)
+    code, out = run_cli(["apply-deformed-mr", "--poly", json.dumps(jsonio.poly_to_json(f))])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "NonDivisibleError"
+    y1 = MultiPoly.variable(sp, 1)
+    assert jsonio.poly_from_json(error["remainder"]) == (y1 * y1).scale(S_Q - S_T)
+
+
+def test_verify_rejects_negative_weight():
+    code, out = run_cli(["verify", "--suite", "cherednik", "--max-weight", "-1"])
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "MacruiError"
+
+
+def test_verify_empty_run_is_not_ok():
+    # commdia checks weights 1..max_weight, so weight 0 checks nothing
+    assert run_suite("commdia", 0)["total"] == 0
+    assert not run_suite("commdia", 0)["ok"]
+    code, out = run_cli(["verify", "--suite", "commdia", "--max-weight", "0"])
+    assert code == 1
+    assert not json.loads(out)["result"]["ok"]

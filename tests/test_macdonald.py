@@ -146,7 +146,7 @@ def test_super_tableau_examples():
 
 
 def test_super_tableau_equals_restriction():
-    for (n, m) in [(1, 1), (2, 1)]:
+    for (n, m) in [(1, 1), (2, 1), (1, 2), (2, 2)]:
         for d in range(5):
             for lam in pt.partitions_of(d, fat_hook=(n, m)):
                 assert super_tableau_sum(lam, n, m) == super_macdonald(lam, n, m)

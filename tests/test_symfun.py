@@ -7,7 +7,7 @@ import pytest
 from macrui import partitions as pt
 from macrui.errors import NotSymmetricError, SingularSystemError
 from macrui.linalg import vectors_rank
-from macrui.macdonald import macdonald_p_expansion
+from macrui.macdonald import macdonald_p_expansion, macdonald_polynomial
 from macrui.polyring import MultiPoly, VarSpace
 from macrui.scalar import (QTScalar, S_ONE, S_Q, S_T, one_minus_q,
                            one_minus_t, qt_eval, qt_monomial, qt_ratio, t_pow)
@@ -94,6 +94,33 @@ def test_restriction_examples():
     assert restrict_p_expansion(macdonald_p_expansion((1, 1)), 1, 1) \
         == (x * y).scale(alpha) + (y ** 2).scale(beta)
     assert restrict_p_expansion(macdonald_p_expansion((2, 2)), 1, 1).is_zero()
+
+
+def _newton_sum_restriction(e, n, m):
+    """Reference image: sum of c_mu prod_k deformed_newton_sum(mu_k, n, m)."""
+    space = VarSpace.xy(n, m)
+    out = MultiPoly.zero(space)
+    for mu, c in e.coeffs.items():
+        term = MultiPoly.one(space)
+        for k in mu:
+            term = term * deformed_newton_sum(k, n, m)
+        out = out + term.scale(c)
+    return out
+
+
+def test_restriction_matches_newton_sum_reference():
+    expansions = [SymExpansion("p", 0, {}), SymExpansion("p", 0, {(): S_ONE}),
+                  SymExpansion("p", 0, {(): qt_ratio(2)})]
+    for d in range(1, 5):
+        for mu in pt.partitions_of(d):
+            expansions.append(SymExpansion("p", d, {mu: S_ONE}))
+    for d in range(5):
+        for lam in pt.partitions_of(d):
+            expansions.append(macdonald_p_expansion(lam))
+    for (n, m) in [(1, 1), (2, 1), (1, 2), (2, 2), (0, 2), (3, 0)]:
+        for e in expansions:
+            assert restrict_p_expansion(e, n, m) == _newton_sum_restriction(e, n, m), \
+                (e, n, m)
 
 
 def test_membership_examples():
@@ -190,10 +217,12 @@ def test_conjugation_evaluation_correspondence():
 
 
 def test_p_expansion_stability_recheck():
-    for lam in [(2,), (2, 1), (1, 1, 1), (3, 1)]:
-        a = macdonald_p_expansion(lam, 0)
-        b = macdonald_p_expansion(lam, pt.weight(lam) + 1)
-        assert a.coeffs == b.coeffs
+    # the expansion solved at N = |lam| against the rendered polynomial at |lam| + 1
+    for lam in [(2,), (2, 1), (1, 1, 1), (3, 1)] + pt.partitions_of(4):
+        d = pt.weight(lam)
+        rendered = monomial_to_power_expansion(
+            to_monomial_expansion(macdonald_polynomial(lam, d + 1)))
+        assert macdonald_p_expansion(lam).coeffs == rendered.coeffs
 
 
 def test_special_point_kills_newton_sums():
