@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -47,21 +46,6 @@ def parse_at(text):
         except (ValueError, ZeroDivisionError):
             pass
     raise MalformedInputError(f"--at needs two exact rationals q0,t0, got {text!r}")
-
-
-def _thread_cap():
-    """Validate the MACRUI_THREADS cap; computation itself is sequential,
-    which trivially respects any positive cap."""
-    raw = os.environ.get("MACRUI_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise MacruiError(f"MACRUI_THREADS must be a positive integer, got {raw!r}")
-    if cap < 1:
-        raise MacruiError(f"MACRUI_THREADS must be a positive integer, got {raw!r}")
-    return cap
 
 
 def _emit(payload, fmt, text_renderer):
@@ -285,6 +269,9 @@ def _run(args):
         def render():
             lines = [f"suite {report['suite']} (max weight {report['max_weight']}): "
                      f"{report['passed']}/{report['total']} passed"]
+            for family, bound in sorted(report["bounds"].items()):
+                lines.append(f"  bound: {family} "
+                             + ", ".join(f"{k}<={v}" for k, v in bound.items()))
             for c in report["checks"]:
                 mark = "ok  " if c["passed"] else "FAIL"
                 lines.append(f"  [{mark}] {c['name']}"
@@ -300,7 +287,6 @@ def _run(args):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        _thread_cap()
         return _run(args)
     except (MacruiError, ValueError, OSError) as exc:
         error = {"kind": type(exc).__name__, "message": str(exc)}

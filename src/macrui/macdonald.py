@@ -166,6 +166,12 @@ class ReverseTableau:
                 entries[box] = k + 1
         self.entries = entries
 
+    def exponents(self):
+        """The exponent vector of prod_s x_{T(s)}: entry k occurs
+        |chain[k-1]| - |chain[k]| times."""
+        return tuple(pt.weight(a) - pt.weight(b)
+                     for a, b in zip(self.chain, self.chain[1:]))
+
     def weight_in_chain(self):
         """Product of branching weights along the chain."""
         w = S_ONE
@@ -192,18 +198,7 @@ def reverse_tableaux(shape, max_entry, base=()):
 def macdonald_tableau_sum(lam, N):
     """P_lam assembled from the tableau formula: sum over reverse tableaux
     of the chain weight times prod_s x_{T(s)}."""
-    lam = pt.as_partition(lam)
-    space = VarSpace.z(N)
-    total = MultiPoly.zero(space)
-    for tab in reverse_tableaux(lam, N):
-        w = tab.weight_in_chain()
-        if w.is_zero():
-            continue
-        e = [0] * N
-        for k in range(N):
-            e[k] = pt.weight(tab.chain[k]) - pt.weight(tab.chain[k + 1])
-        total = total + MultiPoly._raw(space, {tuple(e): w})
-    return total
+    return skew_tableau_sum(lam, (), N)
 
 
 def skew_tableau_sum(lam, mu, N):
@@ -215,12 +210,8 @@ def skew_tableau_sum(lam, mu, N):
     total = MultiPoly.zero(space)
     for tab in reverse_tableaux(lam, N, base=mu):
         w = tab.weight_in_chain()
-        if w.is_zero():
-            continue
-        e = [0] * N
-        for k in range(N):
-            e[k] = pt.weight(tab.chain[k]) - pt.weight(tab.chain[k + 1])
-        total = total + MultiPoly._raw(space, {tuple(e): w})
+        if not w.is_zero():
+            total = total + MultiPoly._raw(space, {tab.exponents(): w})
     return total
 
 
@@ -313,15 +304,9 @@ def super_tableau_sum(lam, n, m):
     total = MultiPoly.zero(space)
     for tab in bitableaux(lam, n, m):
         w = bitableau_weight(tab)
-        if w.is_zero():
-            continue
-        e = [0] * space.dim
-        for k in range(n):
-            e[k] = pt.weight(tab.unprimed.chain[k]) - pt.weight(tab.unprimed.chain[k + 1])
-        for k in range(m):
-            e[n + k] = (pt.weight(tab.primed_conjugate.chain[k])
-                        - pt.weight(tab.primed_conjugate.chain[k + 1]))
-        total = total + MultiPoly._raw(space, {tuple(e): w})
+        if not w.is_zero():
+            e = tab.unprimed.exponents() + tab.primed_conjugate.exponents()
+            total = total + MultiPoly._raw(space, {e: w})
     return total
 
 

@@ -199,6 +199,56 @@ def _divide_factors(space, total, factors, scalar_den):
     return total, witnesses
 
 
+def _pairs(indices):
+    return [(a, b) for ai, a in enumerate(indices) for b in indices[ai + 1:]]
+
+
+def _antisymmetrized(start, block, row, pairs):
+    """The block sum of an operator numerator over the Vandermonde product.
+
+    With i0 = block[0], multiplies ``start`` by the distinguished row
+    prod_{(k, c) in row} (v_i0 + c v_k) and by every pair (v_a - v_b) of
+    ``pairs`` that does not involve i0, then antisymmetrizes over the block:
+    the terms for the other i in the block are the transpositions (i0 i),
+    which flip the sign of the Vandermonde product (Macdonald, Symmetric
+    Functions and Hall Polynomials, VI.3).
+    """
+    i0 = block[0]
+    g = start
+    for k, cpoly in row:
+        g = _z_mul_binomial(g, i0, k, cpoly)
+    for (a, b) in pairs:
+        if a != i0 and b != i0:
+            g = _z_mul_binomial(g, a, b, _M_ONE)
+    total = dict(g)
+    for i in block[1:]:
+        _z_sub_into(total, _z_transpose(g, i0, i))
+    return total
+
+
+def _deformed_sum(space, start):
+    """(1-t) sum_i A_i D start(x_i) + (1-q) sum_j B_j D start(y_j), where D is
+    the Vandermonde product over all n + m variables and ``start(i, base)``
+    is the term dict acted on at the distinguished variable i.  Returns the
+    sum and the pairs of D."""
+    n, m = space.n, space.m
+    xs, ys = list(space.x_indices()), list(space.y_indices())
+    pairs = _pairs(xs) + _pairs(ys) + [(a, b) for a in xs for b in ys]
+    total = {}
+    if n:
+        row = [(k, _M_T) for k in xs[1:]] + [(j, _M_Q) for j in ys]
+        total = _z_scale(_antisymmetrized(start(xs[0], "q"), xs, row, pairs),
+                         P_ONE - P_T)
+    if m:
+        # the n cross pairs (x_a - y_j0) of D read as (y_j0 - x_a) in the
+        # row of y_j0, a sign (-1)^n; the subtraction below adds the y half
+        row = [(i, _M_T) for i in xs] + [(l, _M_Q) for l in ys[1:]]
+        sign = P_Q - P_ONE if n % 2 == 0 else P_ONE - P_Q
+        _z_sub_into(total, _z_scale(
+            _antisymmetrized(start(ys[0], "t"), ys, row, pairs), sign))
+    return total, pairs
+
+
 # ---------------------------------------------------------------------------
 # the q-difference operator on symmetric polynomials
 # ---------------------------------------------------------------------------
@@ -221,16 +271,9 @@ def apply_mr_detailed(f, block=None):
         return OperatorResult(MultiPoly.zero(space), [])
     zt, den0 = _clear_denominators(f)
     i0 = block[0]
-    g = _z_sub(_z_shift(zt, i0, "q"), zt)
-    for k in block[1:]:
-        g = _z_mul_binomial(g, i0, k, _M_T)
-    pairs = [(a, b) for ai, a in enumerate(block) for b in block[ai + 1:]]
-    for (a, b) in pairs:
-        if a != i0 and b != i0:
-            g = _z_mul_binomial(g, a, b, _M_ONE)
-    total = dict(g)
-    for i in block[1:]:
-        _z_sub_into(total, _z_transpose(g, i0, i))
+    pairs = _pairs(block)
+    total = _antisymmetrized(_z_sub(_z_shift(zt, i0, "q"), zt), block,
+                             [(k, _M_T) for k in block[1:]], pairs)
     factors = [(a, b, _M_ONE) for (a, b) in pairs]
     scalar_den = (P_ONE - P_Q) * den0
     total, witnesses = _divide_factors(space, total, factors, scalar_den)
@@ -264,10 +307,8 @@ def apply_deformed_mr_detailed(f, check=False):
     space = f.space
     if space.kind != "xy":
         raise ValueError("the deformed operator acts on xy-spaces")
-    n, m = space.n, space.m
-    xs, ys = list(space.x_indices()), list(space.y_indices())
-    _require_block_symmetric(f, xs, "x")
-    _require_block_symmetric(f, ys, "y")
+    _require_block_symmetric(f, list(space.x_indices()), "x")
+    _require_block_symmetric(f, list(space.y_indices()), "y")
     if check:
         from .symfun import in_deformed_algebra
         if not in_deformed_algebra(f):
@@ -275,60 +316,9 @@ def apply_deformed_mr_detailed(f, check=False):
     if f.is_zero():
         return OperatorResult(MultiPoly.zero(space), [])
     zt, den0 = _clear_denominators(f)
-
-    xpairs = [(a, b) for ai, a in enumerate(xs) for b in xs[ai + 1:]]
-    ypairs = [(a, b) for ai, a in enumerate(ys) for b in ys[ai + 1:]]
-    cross = [(a, b) for a in xs for b in ys]
-
-    total = {}
-    if n:
-        i0 = xs[0]
-        g = _z_sub(_z_shift(zt, i0, "q"), zt)
-        for k in xs[1:]:
-            g = _z_mul_binomial(g, i0, k, _M_T)
-        for j in ys:
-            g = _z_mul_binomial(g, i0, j, _M_Q)
-        for (a, b) in xpairs:
-            if a != i0 and b != i0:
-                g = _z_mul_binomial(g, a, b, _M_ONE)
-        for (a, b) in ypairs:
-            g = _z_mul_binomial(g, a, b, _M_ONE)
-        for (a, b) in cross:
-            if a != i0:
-                g = _z_mul_binomial(g, a, b, _M_ONE)
-        sx = dict(g)
-        for i in xs[1:]:
-            _z_sub_into(sx, _z_transpose(g, i0, i))
-        total = _z_scale(sx, P_ONE - P_T)
-    if m:
-        j0 = ys[0]
-        g = _z_sub(_z_shift(zt, j0, "t"), zt)
-        for i in xs:
-            g = _z_mul_binomial(g, j0, i, _M_T)
-        for l in ys[1:]:
-            g = _z_mul_binomial(g, j0, l, _M_Q)
-        for (a, b) in xpairs:
-            g = _z_mul_binomial(g, a, b, _M_ONE)
-        for (a, b) in ypairs:
-            if a != j0 and b != j0:
-                g = _z_mul_binomial(g, a, b, _M_ONE)
-        for (a, b) in cross:
-            if b != j0:
-                g = _z_mul_binomial(g, a, b, _M_ONE)
-        if n % 2:
-            g = _z_scale(g, _M_ONE)
-        sy = dict(g)
-        for j in ys[1:]:
-            _z_sub_into(sy, _z_transpose(g, j0, j))
-        sy = _z_scale(sy, P_ONE - P_Q)
-        if total:
-            _z_sub_into(total, _z_scale(sy, _M_ONE))
-        else:
-            total = sy
-
-    factors = ([(a, b, _M_ONE) for (a, b) in xpairs]
-               + [(a, b, _M_ONE) for (a, b) in ypairs]
-               + [(a, b, _M_ONE) for (a, b) in cross])
+    total, pairs = _deformed_sum(
+        space, lambda i, base: _z_sub(_z_shift(zt, i, base), zt))
+    factors = [(a, b, _M_ONE) for (a, b) in pairs]
     scalar_den = (P_ONE - P_Q) * (P_ONE - P_T) * den0
     total, witnesses = _divide_factors(space, total, factors, scalar_den)
     return OperatorResult(_z_to_poly(space, total, scalar_den), witnesses)
@@ -421,97 +411,25 @@ def operator_from_shifted_symmetric(g, f):
 # the closed coefficient-sum identity behind the operator restriction
 # ---------------------------------------------------------------------------
 
-def _coefficient_sum_cleared(n, m):
-    """(1-t)*sum_i A_i*D + (1-q)*sum_j B_j*D over the cleared denominator D."""
-    space = VarSpace.xy(n, m)
-    xs, ys = list(space.x_indices()), list(space.y_indices())
-    xpairs = [(a, b) for ai, a in enumerate(xs) for b in xs[ai + 1:]]
-    ypairs = [(a, b) for ai, a in enumerate(ys) for b in ys[ai + 1:]]
-    cross = [(a, b) for a in xs for b in ys]
-    one = {(0,) * space.dim: P_ONE}
-
-    total = {}
-    if n:
-        i0 = xs[0]
-        g = dict(one)
-        for k in xs[1:]:
-            g = _z_mul_binomial(g, i0, k, _M_T)
-        for j in ys:
-            g = _z_mul_binomial(g, i0, j, _M_Q)
-        for (a, b) in xpairs:
-            if a != i0 and b != i0:
-                g = _z_mul_binomial(g, a, b, _M_ONE)
-        for (a, b) in ypairs:
-            g = _z_mul_binomial(g, a, b, _M_ONE)
-        for (a, b) in cross:
-            if a != i0:
-                g = _z_mul_binomial(g, a, b, _M_ONE)
-        sx = dict(g)
-        for i in xs[1:]:
-            _z_sub_into(sx, _z_transpose(g, i0, i))
-        total = _z_scale(sx, P_ONE - P_T)
-    if m:
-        j0 = ys[0]
-        g = dict(one)
-        for i in xs:
-            g = _z_mul_binomial(g, j0, i, _M_T)
-        for l in ys[1:]:
-            g = _z_mul_binomial(g, j0, l, _M_Q)
-        for (a, b) in xpairs:
-            g = _z_mul_binomial(g, a, b, _M_ONE)
-        for (a, b) in ypairs:
-            if a != j0 and b != j0:
-                g = _z_mul_binomial(g, a, b, _M_ONE)
-        for (a, b) in cross:
-            if b != j0:
-                g = _z_mul_binomial(g, a, b, _M_ONE)
-        if n % 2:
-            g = _z_scale(g, _M_ONE)
-        sy = dict(g)
-        for j in ys[1:]:
-            _z_sub_into(sy, _z_transpose(g, j0, j))
-        sy = _z_scale(sy, P_ONE - P_Q)
-        if total:
-            _z_sub_into(total, _z_scale(sy, _M_ONE))
-        else:
-            total = sy
-
-    denom = dict(one)
-    for (a, b) in xpairs + ypairs + cross:
-        denom = _z_mul_binomial(denom, a, b, _M_ONE)
-    return space, total, denom
-
-
 def coefficient_sum_identity(n, m):
     """Verify sum_i A_i + ((1-q)/(1-t)) sum_j B_j = (t^n q^m - 1)/(t - 1)
     as an exact rational-function identity, together with the one-block
     analogue sum_l C_l = (t^N - 1)/(t - 1) at N = n + m."""
     if n + m < 1:
         raise ValueError("need at least one variable")
-    space, total, denom = _coefficient_sum_cleared(n, m)
+    one = {(0,) * (n + m): P_ONE}
+    total, pairs = _deformed_sum(VarSpace.xy(n, m), lambda i, base: one)
+    denom = one
+    for (a, b) in pairs:
+        denom = _z_mul_binomial(denom, a, b, _M_ONE)
     # identity times (1-t)*D: rhs is (1 - t^n q^m) * D
-    rhs_scalar = P_ONE - QTPolynomial.monomial(m, n)
-    rhs = _z_scale(denom, rhs_scalar)
-    if _z_sub(total, rhs):
+    if _z_sub(total, _z_scale(denom, P_ONE - QTPolynomial.monomial(m, n))):
         return False
 
-    # the one-block sum at N = n + m: (t - 1) * sum_l C_l * D == (t^N - 1) * D
+    # the one-block sum at N = n + m over the same D:
+    # (t - 1) * sum_l C_l * D == (t^N - 1) * D
     N = n + m
-    wspace = VarSpace.z(N)
-    pairs = [(a, b) for a in range(N) for b in range(a + 1, N)]
-    one = {(0,) * N: P_ONE}
-    g = dict(one)
-    for k in range(1, N):
-        g = _z_mul_binomial(g, 0, k, _M_T)
-    for (a, b) in pairs:
-        if a != 0 and b != 0:
-            g = _z_mul_binomial(g, a, b, _M_ONE)
-    sw = dict(g)
-    for i in range(1, N):
-        _z_sub_into(sw, _z_transpose(g, 0, i))
+    block = list(range(N))
+    sw = _antisymmetrized(one, block, [(k, _M_T) for k in block[1:]], pairs)
     lhs = _z_scale(sw, P_T - P_ONE)
-    denw = dict(one)
-    for (a, b) in pairs:
-        denw = _z_mul_binomial(denw, a, b, _M_ONE)
-    rhsw = _z_scale(denw, QTPolynomial.monomial(0, N) - P_ONE)
-    return not _z_sub(lhs, rhsw)
+    return not _z_sub(lhs, _z_scale(denom, QTPolynomial.monomial(0, N) - P_ONE))

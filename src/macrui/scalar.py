@@ -13,215 +13,15 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 import heapq
-import math
 from fractions import Fraction
-from functools import reduce
+
+from sympy.polys.domains import ZZ as _SYMPY_ZZ
+from sympy.polys.polyerrors import HeuristicGCDFailed
+from sympy.polys.rings import ring as _sympy_ring
 
 from .errors import ScalarDivisionError, SpecialParameterError
 
-try:  # mature gcd backend; the primitive PRS below is the fallback
-    from sympy.polys.domains import ZZ as _SYMPY_ZZ
-    from sympy.polys.rings import ring as _sympy_ring
-
-    _SYMPY_RING = _sympy_ring("q,t", _SYMPY_ZZ)[0]
-except Exception:  # pragma: no cover
-    _SYMPY_RING = None
-
-
-# ---------------------------------------------------------------------------
-# univariate helpers (dict exponent -> int), used by the bivariate gcd
-# ---------------------------------------------------------------------------
-
-def _u_content(u):
-    return reduce(math.gcd, u.values(), 0)
-
-
-def _u_scale(u, k):
-    if k == 1:
-        return dict(u)
-    return {e: c * k for e, c in u.items()}
-
-
-def _u_mul(u, v):
-    out = {}
-    for e1, c1 in u.items():
-        for e2, c2 in v.items():
-            e = e1 + e2
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-    return out
-
-
-def _u_primitive(u):
-    """Divide by the integer content and make the leading coefficient positive."""
-    if not u:
-        return {}
-    c = _u_content(u)
-    if u[max(u)] < 0:
-        c = -c
-    return {e: v // c for e, v in u.items()}
-
-
-def _u_prem(a, b):
-    """Pseudo-remainder of a by b (b nonzero), over the integers."""
-    db = max(b)
-    lb = b[db]
-    r = dict(a)
-    while r:
-        dr = max(r)
-        if dr < db:
-            break
-        lr = r[dr]
-        nr = {}
-        for e, c in r.items():
-            nr[e] = c * lb
-        for e, c in b.items():
-            k = e + dr - db
-            s = nr.get(k, 0) - lr * c
-            if s:
-                nr[k] = s
-            elif k in nr:
-                del nr[k]
-        r = nr
-    return r
-
-
-def _u_gcd(a, b):
-    """Gcd in Z[x] by the primitive pseudo-remainder sequence."""
-    if not a and not b:
-        return {}
-    if not a:
-        return _u_scale(b, -1) if b[max(b)] < 0 else dict(b)
-    if not b:
-        return _u_gcd(b, a)
-    ca, cb = _u_content(a), _u_content(b)
-    c = math.gcd(ca, cb)
-    pa, pb = _u_primitive(a), _u_primitive(b)
-    while pb:
-        r = _u_prem(pa, pb)
-        pa, pb = pb, _u_primitive(r)
-    return _u_scale(pa, c)
-
-
-def _u_exact_div(a, b):
-    """Exact division in Z[x]; raises ValueError when not divisible."""
-    if not b:
-        raise ZeroDivisionError("univariate division by zero")
-    r = dict(a)
-    db = max(b)
-    lb = b[db]
-    quo = {}
-    while r:
-        dr = max(r)
-        if dr < db or r[dr] % lb:
-            raise ValueError("not divisible")
-        qc = r[dr] // lb
-        qe = dr - db
-        quo[qe] = qc
-        for e, c in b.items():
-            k = e + qe
-            s = r.get(k, 0) - qc * c
-            if s:
-                r[k] = s
-            elif k in r:
-                del r[k]
-    return quo
-
-
-# ---------------------------------------------------------------------------
-# bivariate helpers: polynomials in q with coefficients in Z[t]
-# ---------------------------------------------------------------------------
-
-def _nested(terms):
-    out = {}
-    for (a, b), c in terms.items():
-        out.setdefault(a, {})[b] = c
-    return out
-
-
-def _flattened(nested):
-    out = {}
-    for a, u in nested.items():
-        for b, c in u.items():
-            if c:
-                out[(a, b)] = c
-    return out
-
-
-def _b_content(f):
-    us = list(f.values())
-    g = us[0]
-    for u in us[1:]:
-        g = _u_gcd(g, u)
-        if g == {0: 1}:
-            break
-    return g
-
-
-def _b_div_u(f, c):
-    if c == {0: 1}:
-        return f
-    return {a: _u_exact_div(u, c) for a, u in f.items()}
-
-
-def _b_primitive(f):
-    if not f:
-        return {}
-    return _b_div_u(f, _b_content(f))
-
-
-def _b_sub(f, g):
-    out = {a: dict(u) for a, u in f.items()}
-    for a, u in g.items():
-        cur = out.setdefault(a, {})
-        for e, c in u.items():
-            s = cur.get(e, 0) - c
-            if s:
-                cur[e] = s
-            elif e in cur:
-                del cur[e]
-        if not cur:
-            del out[a]
-    return out
-
-
-def _b_mul_u(f, c):
-    out = {}
-    for a, u in f.items():
-        p = _u_mul(u, c)
-        if p:
-            out[a] = p
-    return out
-
-
-def _b_prem(f, g):
-    """Pseudo-remainder in (Z[t])[q]."""
-    dg = max(g)
-    lg = g[dg]
-    r = f
-    while r:
-        dr = max(r)
-        if dr < dg:
-            break
-        lr = r[dr]
-        nr = _b_mul_u(r, lg)
-        for a, u in g.items():
-            k = a + dr - dg
-            cur = nr.setdefault(k, {})
-            prod = _u_mul(lr, u)
-            for e, c in prod.items():
-                s = cur.get(e, 0) - c
-                if s:
-                    cur[e] = s
-                elif e in cur:
-                    del cur[e]
-            if not cur:
-                del nr[k]
-        r = nr
-    return r
+_SYMPY_RING = _sympy_ring("q,t", _SYMPY_ZZ)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -439,18 +239,13 @@ def qt_gcd(a, b):
         return _sign_normalized(b)
     if b.is_zero():
         return _sign_normalized(a)
-    if _SYMPY_RING is not None:
-        g = _SYMPY_RING.from_dict(a.terms).gcd(_SYMPY_RING.from_dict(b.terms))
-        out = {(int(e[0]), int(e[1])): int(c) for e, c in g.to_dict().items()}
-        return _sign_normalized(QTPolynomial._raw(out))
-    fa, fb = _nested(a.terms), _nested(b.terms)
-    ca, cb = _b_content(fa), _b_content(fb)
-    pa, pb = _b_div_u(fa, ca), _b_div_u(fb, cb)
-    while pb:
-        r = _b_prem(pa, pb)
-        pa, pb = pb, (_b_primitive(r) if r else {})
-    g = _b_mul_u(pa, _u_gcd(ca, cb))
-    return _sign_normalized(QTPolynomial._raw(_flattened(g)))
+    fa, fb = _SYMPY_RING.from_dict(a.terms), _SYMPY_RING.from_dict(b.terms)
+    try:
+        g = fa.gcd(fb)
+    except HeuristicGCDFailed:  # the sparse gcd has no fallback of its own
+        g = _SYMPY_RING.dmp_inner_gcd(fa, fb)[0]
+    out = {(int(e[0]), int(e[1])): int(c) for e, c in g.to_dict().items()}
+    return _sign_normalized(QTPolynomial._raw(out))
 
 
 def _sign_normalized(p):

@@ -18,7 +18,8 @@ from functools import cache
 from .errors import InvalidPartitionError, SingularSystemError
 from . import partitions as pt
 from .linalg import solve_square
-from .macdonald import branching_coefficients, reverse_tableaux, bitableaux, strip_boxes
+from .macdonald import (bitableau_weight, bitableaux, branching_coefficients,
+                        reverse_tableaux, strip_boxes)
 from .polyring import MultiPoly, VarSpace, linear_combination
 from .scalar import S_ONE, S_ZERO, q_pow, qt_monomial, t_pow
 from .symfun import (shifted_power_product, to_shifted_power_expansion,
@@ -231,10 +232,7 @@ def shifted_super_tableau_sum(lam, n, m):
     tn = t_pow(n)
     total = MultiPoly.zero(space)
     for tab in bitableaux(lam, n, m):
-        mu = tab.inner
-        ratio = pt.hook_product(mu) / pt.hook_product(pt.conjugate(mu)).swap_qt()
-        w = (tab.unprimed.weight_in_chain()
-             * tab.primed_conjugate.weight_in_chain().swap_qt() * ratio)
+        w = bitableau_weight(tab)
         if w.is_zero():
             continue
         term = MultiPoly.constant(space, w)

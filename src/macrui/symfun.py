@@ -15,8 +15,8 @@ from .errors import NotSymmetricError, SingularSystemError
 from . import partitions as pt
 from .linalg import solve_square
 from .polyring import MultiPoly, VarSpace
-from .scalar import (P_ONE, QTPolynomial, QTScalar, S_ONE, S_Q, S_T, S_ZERO,
-                     _coerce, qt_gcd, qt_ratio, q_pow, t_pow)
+from .scalar import (P_ONE, P_ZERO, QTPolynomial, QTScalar, S_ONE, S_Q, S_T,
+                     S_ZERO, _coerce, qt_gcd, qt_ratio, t_pow)
 
 
 class SymExpansion:
@@ -215,53 +215,85 @@ def deformed_newton_sum(r, n, m):
     return MultiPoly._raw(space, terms)
 
 
+def _unit_power(i, r, dim):
+    return (0,) * i + (r,) + (0,) * (dim - i - 1)
+
+
+def _newton_factor(r, n, m):
+    """(1 - t^r) p_r(x) + (1 - q^r) p_r(y), which is (1 - t^r) times the image
+    of p_r, as a map from exponent vectors to QTPolynomial coefficients."""
+    x_factor = P_ONE - QTPolynomial.monomial(0, r)
+    y_factor = P_ONE - QTPolynomial.monomial(r, 0)
+    return {_unit_power(i, r, n + m): x_factor if i < n else y_factor
+            for i in range(n + m)}
+
+
+def _shifted_newton_factor(r, n, m):
+    """(1 - t^r) times the image of p*_r under the shifted restriction:
+    (1 - t^r) sum_i (x_i^r - 1) t^{r(i-1)}
+    + (1 - q^r) sum_j (y_j^r - t^{rn}) q^{r(j-1)}."""
+    x_factor = P_ONE - QTPolynomial.monomial(0, r)
+    y_factor = P_ONE - QTPolynomial.monomial(r, 0)
+    out = {}
+    const = P_ZERO
+    for i in range(n):
+        w = x_factor * QTPolynomial.monomial(0, r * i)
+        out[_unit_power(i, r, n + m)] = w
+        const = const - w
+    for j in range(m):
+        w = y_factor * QTPolynomial.monomial(r * j, 0)
+        out[_unit_power(n + j, r, n + m)] = w
+        const = const - w * QTPolynomial.monomial(0, r * n)
+    if const:
+        out[(0,) * (n + m)] = const
+    return out
+
+
 @cache
-def _cleared_newton_image(mu, n, m):
-    """The image of p_mu times s_mu = prod_k (1 - t^{mu_k}), which clears its
-    denominators: prod_k ((1 - t^{mu_k}) p_{mu_k}(x) + (1 - q^{mu_k}) p_{mu_k}(y)).
+def _cleared_image(factor, mu, n, m):
+    """s_mu = prod_k (1 - t^{mu_k}) times the image of the generator product
+    over mu: the product of the cleared generator images ``factor(k, n, m)``.
 
     Returns s_mu and the image as a map from exponent vectors to QTPolynomial
     coefficients.
     """
-    dim = n + m
     s_mu = P_ONE
-    image = {(0,) * dim: P_ONE}
+    image = {(0,) * (n + m): P_ONE}
     for k in mu:
-        x_factor = P_ONE - QTPolynomial.monomial(0, k)
-        y_factor = P_ONE - QTPolynomial.monomial(k, 0)
-        s_mu = s_mu * x_factor
+        s_mu = s_mu * (P_ONE - QTPolynomial.monomial(0, k))
+        fk = factor(k, n, m).items()
         nxt = {}
-        for e, c in image.items():
-            for i in range(dim):
-                f = e[:i] + (e[i] + k,) + e[i + 1:]
-                v = c * (x_factor if i < n else y_factor)
-                prev = nxt.get(f)
+        for e1, c1 in image.items():
+            for e2, c2 in fk:
+                e = tuple(a + b for a, b in zip(e1, e2))
+                v = c1 * c2
+                prev = nxt.get(e)
                 if prev is not None:
                     v = prev + v
                 if v:
-                    nxt[f] = v
+                    nxt[e] = v
                 else:
-                    del nxt[f]
+                    del nxt[e]
         image = nxt
     return s_mu, image
 
 
-def restrict_p_expansion(e, n, m):
-    """Image of a p-expansion under p_r -> deformed Newton sum in (n, m) variables.
+def _restrict_cleared(e, factor, n, m):
+    """Image of an expansion under the restriction map whose cleared
+    generator images ``factor`` gives.
 
-    Each c_mu p_mu maps to (c_mu / s_mu) times its cleared image.  Each
+    The term of mu, with coefficient c_mu, maps to (c_mu / s_mu) times its
+    cleared image.  Each
     c_mu / s_mu is reduced and put over one common denominator L, two gcds
     per mu; the numerators are summed in Z[q, t] with no gcd, and each
     output coefficient is reduced once against L.  Reducing c_mu / s_mu
     before it joins L keeps L small, which saves more in the final
     reductions than the extra gcd costs.
     """
-    if e.basis != "p":
-        raise ValueError("restriction acts on p-expansions")
     parts = []
     common = P_ONE
     for mu, c in e.coeffs.items():
-        s_mu, image = _cleared_newton_image(mu, n, m)
+        s_mu, image = _cleared_image(factor, mu, n, m)
         num, den = c.num, c.den
         if s_mu.terms != P_ONE.terms:
             g = qt_gcd(num, s_mu)
@@ -273,13 +305,20 @@ def restrict_p_expansion(e, n, m):
         parts.append((num, den, image))
     sums = {}
     for num, den, image in parts:
-        factor = num * common.exact_divide(den)
+        scale = num * common.exact_divide(den)
         for exp, coeff in image.items():
-            v = factor * coeff
+            v = scale * coeff
             prev = sums.get(exp)
             sums[exp] = v if prev is None else prev + v
     return MultiPoly._raw(VarSpace.xy(n, m),
                           {exp: QTScalar(v, common) for exp, v in sums.items() if v})
+
+
+def restrict_p_expansion(e, n, m):
+    """Image of a p-expansion under p_r -> deformed Newton sum in (n, m) variables."""
+    if e.basis != "p":
+        raise ValueError("restriction acts on p-expansions")
+    return _restrict_cleared(e, _newton_factor, n, m)
 
 
 def in_deformed_algebra(f):
@@ -385,42 +424,10 @@ def from_shifted_power_expansion(e, N):
     return out
 
 
-@cache
-def _shifted_newton_image(r, n, m):
-    """Image of p*_r under the shifted restriction map.
-
-    sum_i (x_i^r - 1) t^{r(i-1)} + ((1-q^r)/(1-t^r)) sum_j (y_j^r - t^{rn}) q^{r(j-1)}.
-    """
-    space = VarSpace.xy(n, m)
-    out = MultiPoly.zero(space)
-    for i in range(n):
-        w = t_pow(r * i)
-        e = [0] * space.dim
-        e[i] = r
-        out = out + MultiPoly._raw(space, {tuple(e): w}) - MultiPoly.constant(space, w)
-    ratio = qt_ratio(r)
-    tn = t_pow(r * n)
-    for j in range(m):
-        w = q_pow(r * j) * ratio
-        e = [0] * space.dim
-        e[n + j] = r
-        out = out + MultiPoly._raw(space, {tuple(e): w}) - MultiPoly.constant(space, w * tn)
-    return out
-
-
-@cache
-def _shifted_newton_image_product(mu, n, m):
-    out = MultiPoly.one(VarSpace.xy(n, m))
-    for k in mu:
-        out = out * _shifted_newton_image(k, n, m)
-    return out
-
-
 def restrict_shifted_expansion(e, n, m):
-    """Image of a p*-expansion under the shifted restriction map."""
+    """Image of a p*-expansion under the shifted restriction map
+    p*_r -> sum_i (x_i^r - 1) t^{r(i-1)}
+             + ((1-q^r)/(1-t^r)) sum_j (y_j^r - t^{rn}) q^{r(j-1)}."""
     if e.basis != "pstar":
         raise ValueError("shifted restriction acts on p*-expansions")
-    out = MultiPoly.zero(VarSpace.xy(n, m))
-    for mu, c in e.coeffs.items():
-        out = out + _shifted_newton_image_product(mu, n, m).scale(c)
-    return out
+    return _restrict_cleared(e, _shifted_newton_factor, n, m)

@@ -37,6 +37,14 @@ def _check(checks, name, passed, witness=""):
                    "witness": "" if passed else str(witness)})
 
 
+def _bound(bounds, families, key, value):
+    """Record ``value`` as the bound ``key`` that the check families use,
+    and return it."""
+    for family in families:
+        bounds[family] = {key: value}
+    return value
+
+
 def _diff_witness(lhs, rhs):
     try:
         return f"difference = {lhs - rhs}"
@@ -44,7 +52,7 @@ def _diff_witness(lhs, rhs):
         return f"lhs = {lhs}; rhs = {rhs}"
 
 
-def suite_eigen(max_weight):
+def suite_eigen(max_weight, bounds):
     """Eigenfunction relation, triangularity, and the deformed eigenfunctions."""
     checks = []
     N = max(max_weight, 1)
@@ -63,8 +71,9 @@ def suite_eigen(max_weight):
             okdiag = diag == mr_eigenvalue(lam)
             _check(checks, f"triangular lam={list(lam)} N={N}", lower and okdiag,
                    f"support={sorted(exp.coeffs)} diag={diag}")
+    wd = _bound(bounds, ["deformed eigen"], "weight", min(max_weight, 4))
     for (n, m) in [(1, 1), (2, 1), (1, 2)]:
-        for d in range(min(max_weight, 4) + 1):
+        for d in range(wd + 1):
             for lam in pt.partitions_of(d, fat_hook=(n, m)):
                 S = super_macdonald(lam, n, m)
                 lhs = apply_deformed_mr(S)
@@ -74,7 +83,7 @@ def suite_eigen(max_weight):
     return checks
 
 
-def suite_commdia(max_weight):
+def suite_commdia(max_weight, bounds):
     """The restriction homomorphism intertwines the two operators."""
     checks = []
     for (n, m) in [(1, 1), (2, 1), (1, 2), (2, 2)]:
@@ -90,7 +99,7 @@ def suite_commdia(max_weight):
     return checks
 
 
-def suite_kernel(max_weight):
+def suite_kernel(max_weight, bounds):
     """Vanishing of off-hook restrictions and independence of the rest."""
     checks = []
     for (n, m) in [(1, 1), (2, 1)]:
@@ -112,7 +121,7 @@ def suite_kernel(max_weight):
     return checks
 
 
-def suite_duality(max_weight):
+def suite_duality(max_weight, bounds):
     """Evaluation duality between conjugate shapes with parameters swapped."""
     checks = []
     shapes = [lam for d in range(max_weight + 1) for lam in pt.partitions_of(d)]
@@ -123,7 +132,7 @@ def suite_duality(max_weight):
     return checks
 
 
-def suite_vanishing(max_weight):
+def suite_vanishing(max_weight, bounds):
     """Triple agreement, hook normalization, and extra vanishing."""
     checks = []
     N = max(max_weight, 1)
@@ -140,7 +149,8 @@ def suite_vanishing(max_weight):
             _check(checks, f"normalization lam={list(lam)}",
                    val == pt.hook_product(lam),
                    f"value={val} hook={pt.hook_product(lam)}")
-    for d in range(max(max_weight - 1, 1) + 1):
+    wv = _bound(bounds, ["extra vanishing"], "weight", max(max_weight - 1, 1))
+    for d in range(wv + 1):
         for lam in pt.partitions_of(d):
             for dd in range(d + 3):
                 for mu in pt.partitions_of(dd):
@@ -154,10 +164,14 @@ def suite_vanishing(max_weight):
     return checks
 
 
-def suite_combinatorial(max_weight):
+def suite_combinatorial(max_weight, bounds):
     """Tableau formulas against the constructions they must reproduce."""
     checks = []
-    N = max(min(max_weight, 5), 1)
+    N = _bound(bounds, ["tableau", "branching reassembly"], "N",
+               max(min(max_weight, 5), 1))
+    w4 = _bound(bounds, ["skew decomposition", "super tableau",
+                         "shifted super tableau", "duality sign"],
+                "weight", min(max_weight, 4))
     for d in range(max_weight + 1):
         for lam in pt.partitions_of(d, max_length=N):
             _check(checks, f"tableau lam={list(lam)} N={N}",
@@ -179,7 +193,7 @@ def suite_combinatorial(max_weight):
             _check(checks, f"branching reassembly lam={list(lam)}", total == P,
                    _diff_witness(total, P))
     # concatenated alphabets: P_lam(x, y) = sum_mu P_{lam/mu}(x) P_mu(y)
-    for d in range(min(max_weight, 4) + 1):
+    for d in range(w4 + 1):
         for lam in pt.partitions_of(d, max_length=4):
             P4 = macdonald_polynomial(lam, 4)
             space = P4.space
@@ -196,14 +210,14 @@ def suite_combinatorial(max_weight):
                    _diff_witness(total, P4))
     # two-alphabet tableau formulas and the measured duality sign
     for (n, m) in [(1, 1), (2, 1)]:
-        for d in range(min(max_weight, 4) + 1):
+        for d in range(w4 + 1):
             for lam in pt.partitions_of(d, fat_hook=(n, m)):
                 _check(checks, f"super tableau lam={list(lam)} ({n},{m})",
                        super_tableau_sum(lam, n, m) == super_macdonald(lam, n, m))
                 _check(checks, f"shifted super tableau lam={list(lam)} ({n},{m})",
                        shifted_super_tableau_sum(lam, n, m)
                        == shifted_super_macdonald(lam, n, m))
-    for d in range(min(max_weight, 4) + 1):
+    for d in range(w4 + 1):
         for lam in pt.partitions_of(d):
             try:
                 sign = parameter_duality_sign(lam)
@@ -214,10 +228,11 @@ def suite_combinatorial(max_weight):
     return checks
 
 
-def suite_cherednik(max_weight):
+def suite_cherednik(max_weight, bounds):
     """Hecke relations, commutativity, and the first-integral correspondence."""
     checks = []
-    dmax = min(max_weight, 3)
+    dmax = _bound(bounds, ["Hecke quadratic", "commutativity", "first integral"],
+                  "degree", min(max_weight, 3))
     for N in (2, 3):
         sp = VarSpace.z(N)
         mons = []
@@ -251,7 +266,7 @@ def suite_cherednik(max_weight):
     return checks
 
 
-def suite_identities(max_weight):
+def suite_identities(max_weight, bounds):
     """Closed identities: coefficient sums, the diagram trace identity,
     the truncated kernel-function identities, and special-point vanishing."""
     checks = []
@@ -261,18 +276,20 @@ def suite_identities(max_weight):
                 continue
             _check(checks, f"coefficient sum ({n},{m})",
                    coefficient_sum_identity(n, m))
-    for d in range(min(max_weight, 6) + 1):
+    wt = _bound(bounds, ["diagram trace"], "weight", min(max_weight, 6))
+    for d in range(wt + 1):
         for lam in pt.partitions_of(d):
             lhs, rhs = pt.conjugation_sum_identity(lam)
             _check(checks, f"diagram trace lam={list(lam)}", lhs == rhs,
                    f"lhs={lhs} rhs={rhs}")
     ok, witness = _truncated_kernel_function_identity()
     _check(checks, "kernel function identity (truncated)", ok, witness)
+    smax = _bound(bounds, ["log-coefficient identity"], "s", min(max_weight, 4))
     for (n, m) in [(1, 1), (2, 1)]:
-        for s in range(1, min(max_weight, 4) + 1):
+        for s in range(1, smax + 1):
             ok, witness = _log_coefficient_identity(s, n, m)
             _check(checks, f"log-coefficient identity s={s} ({n},{m})", ok, witness)
-    for r in range(1, min(max_weight, 6) + 1):
+    for r in range(1, _bound(bounds, ["special point"], "r", min(max_weight, 6)) + 1):
         p = deformed_newton_sum(r, 1, 1)
         val = p.evaluate([QTScalar.from_int(1), QTScalar.from_int(2)])
         num = qt_eval(val, Fraction(1, 2), Fraction(2))
@@ -345,17 +362,21 @@ SUITES = {
 def run_suite(name, max_weight):
     """Run one named suite; returns a deterministic report dictionary.
 
-    A run that checked nothing is not ok.
+    ``bounds`` maps each check family with a bound of its own (a cap on
+    the weight, a variable count N, a degree) to the bound it used.  A run
+    that checked nothing is not ok.
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if max_weight < 0:
         raise MacruiError(f"max_weight must be nonnegative, got {max_weight}")
-    checks = SUITES[name](max_weight)
+    bounds = {}
+    checks = SUITES[name](max_weight, bounds)
     failed = sum(1 for c in checks if not c["passed"])
     return {
         "suite": name,
         "max_weight": max_weight,
+        "bounds": bounds,
         "total": len(checks),
         "passed": len(checks) - failed,
         "failed": failed,

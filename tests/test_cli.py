@@ -139,16 +139,6 @@ def test_invalid_partition_is_structured_error():
     assert "error" in payload
 
 
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("MACRUI_THREADS", "2")
-    code, _ = run_cli(["eigenvalue", "--lambda", "1"])
-    assert code == 0
-    monkeypatch.setenv("MACRUI_THREADS", "zero")
-    code, out = run_cli(["eigenvalue", "--lambda", "1"])
-    assert code == 1
-    assert "MACRUI_THREADS" in json.loads(out)["error"]["message"]
-
-
 def test_text_format():
     code, out = run_cli(["macdonald", "--lambda", "1", "--N", "2", "--format", "text"])
     assert code == 0
@@ -240,3 +230,15 @@ def test_verify_empty_run_is_not_ok():
     code, out = run_cli(["verify", "--suite", "commdia", "--max-weight", "0"])
     assert code == 1
     assert not json.loads(out)["result"]["ok"]
+
+
+def test_verify_reports_lowered_bounds():
+    report = run_suite("cherednik", 6)
+    assert report["bounds"]["Hecke quadratic"] == {"degree": 3}
+    assert report["bounds"]["commutativity"] == {"degree": 3}
+    assert report["ok"] and report["total"] == report["passed"] == 17
+    assert run_suite("combinatorial", 1)["bounds"]["tableau"] == {"N": 1}
+    code, out = run_cli(["verify", "--suite", "cherednik", "--max-weight", "1",
+                         "--format", "text"])
+    assert code == 0
+    assert "bound: Hecke quadratic degree<=1" in out

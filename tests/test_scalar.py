@@ -1,12 +1,18 @@
 """Exact arithmetic in Q(q, t): normalization, gcd, evaluation."""
 
+import io
+import json
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macrui import jsonio
+from macrui.cli import main
 from macrui.errors import ScalarDivisionError, SpecialParameterError
+from macrui.polyring import MultiPoly, VarSpace
 from macrui.scalar import (P_ONE, P_Q, P_T, QTPolynomial, QTScalar, S_ONE,
                            S_Q, S_T, S_ZERO, one_minus_q, one_minus_t,
                            qt_arith, qt_eval, qt_gcd, qt_monomial)
@@ -128,20 +134,25 @@ def test_gcd_divides_both(a, b):
     assert b.exact_divide(g) * g == b
 
 
-def test_fallback_gcd_agrees_with_backend(monkeypatch):
-    # the hand-written remainder-sequence gcd must match the backend
-    import macrui.scalar as sc
+def test_gcd_when_the_heuristic_gcd_fails():
+    # sympy's sparse heuristic gcd gives up on this pair ("no luck"); qt_gcd
+    # then finishes with sympy's remainder-sequence gcd
+    a = poly({(10, 0): 24, (9, 3): -24, (9, 2): -24, (9, 1): -24, (9, 0): -24,
+              (8, 5): 24, (8, 4): 24, (8, 3): 48, (8, 2): 24, (8, 1): 24,
+              (7, 6): -24, (7, 5): -24, (7, 4): -24, (7, 3): -24, (6, 6): 24})
+    b = poly({(0, 16): 24, (0, 15): -24, (0, 14): -24, (0, 11): 48,
+              (0, 8): -24, (0, 7): -24, (0, 6): 24})
+    assert qt_gcd(a, b) == poly({(0, 0): 24})
+    s = QTScalar(a, b)
+    assert s.num * b == s.den * a
 
-    pairs = [
-        (poly({(2, 0): 1, (0, 0): -1}), P_Q - P_ONE),
-        (poly({(3, 2): 6, (1, 1): -4}), poly({(2, 1): 10, (0, 0): -2})),
-        ((P_ONE - P_Q * P_T) * (P_Q + P_T), (P_ONE - P_Q * P_T) * (P_Q - P_T)),
-        (poly({(1, 0): 1, (0, 1): 1}), poly({(2, 0): 1, (0, 2): -1})),
-    ]
-    with_backend = [qt_gcd(a, b) for a, b in pairs]
-    monkeypatch.setattr(sc, "_SYMPY_RING", None)
-    without = [qt_gcd(a, b) for a, b in pairs]
-    assert with_backend == without
+    f = MultiPoly._raw(VarSpace.z(1), {(1,): s})
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(["apply-mr", "--poly", json.dumps(jsonio.poly_to_json(f))])
+    assert code == 0
+    result = jsonio.poly_from_json(json.loads(buf.getvalue())["result"])
+    assert result == f.scale(QTScalar.from_int(-1))
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,8 +10,9 @@ from macrui.linalg import vectors_rank
 from macrui.macdonald import macdonald_p_expansion, macdonald_polynomial
 from macrui.polyring import MultiPoly, VarSpace
 from macrui.scalar import (QTScalar, S_ONE, S_Q, S_T, one_minus_q,
-                           one_minus_t, qt_eval, qt_monomial, qt_ratio, t_pow)
-from macrui.shifted import evaluate_at_partition
+                           one_minus_t, q_pow, qt_eval, qt_monomial, qt_ratio,
+                           t_pow)
+from macrui.shifted import evaluate_at_partition, interpolation_polynomial
 from macrui.symfun import (SymExpansion, deformed_newton_sum,
                            in_deformed_algebra, is_shifted_symmetric,
                            monomial_symmetric, monomial_to_power_expansion,
@@ -121,6 +122,53 @@ def test_restriction_matches_newton_sum_reference():
         for e in expansions:
             assert restrict_p_expansion(e, n, m) == _newton_sum_restriction(e, n, m), \
                 (e, n, m)
+
+
+def _shifted_newton_image(r, n, m):
+    """Image of p*_r: sum_i (x_i^r - 1) t^{r(i-1)}
+    + ((1-q^r)/(1-t^r)) sum_j (y_j^r - t^{rn}) q^{r(j-1)}."""
+    space = VarSpace.xy(n, m)
+    out = MultiPoly.zero(space)
+    for i in range(n):
+        w = t_pow(r * i)
+        e = [0] * space.dim
+        e[i] = r
+        out = out + MultiPoly._raw(space, {tuple(e): w}) - MultiPoly.constant(space, w)
+    tn = t_pow(r * n)
+    for j in range(m):
+        w = q_pow(r * j) * qt_ratio(r)
+        e = [0] * space.dim
+        e[n + j] = r
+        out = out + MultiPoly._raw(space, {tuple(e): w}) - MultiPoly.constant(space, w * tn)
+    return out
+
+
+def _shifted_newton_sum_restriction(e, n, m):
+    """Reference image: sum of c_mu prod_k (image of p*_{mu_k})."""
+    space = VarSpace.xy(n, m)
+    out = MultiPoly.zero(space)
+    for mu, c in e.coeffs.items():
+        term = MultiPoly.one(space)
+        for k in mu:
+            term = term * _shifted_newton_image(k, n, m)
+        out = out + term.scale(c)
+    return out
+
+
+def test_shifted_restriction_matches_newton_sum_reference():
+    expansions = [SymExpansion("pstar", 0, {}),
+                  SymExpansion("pstar", 0, {(): qt_ratio(2)})]
+    for d in range(1, 5):
+        for mu in pt.partitions_of(d):
+            expansions.append(SymExpansion("pstar", d, {mu: S_ONE}))
+    for d in range(5):
+        for lam in pt.partitions_of(d):
+            N = max(d, 1)
+            expansions.append(to_shifted_power_expansion(interpolation_polynomial(lam, N)))
+    for (n, m) in [(1, 1), (2, 1), (1, 2), (2, 2), (0, 2), (3, 0)]:
+        for e in expansions:
+            assert restrict_shifted_expansion(e, n, m) \
+                == _shifted_newton_sum_restriction(e, n, m), (e, n, m)
 
 
 def test_membership_examples():
