@@ -49,7 +49,8 @@ from .macdonald import (Bitableau, ReverseTableau, bitableaux,
                         super_tableau_sum)
 from .shifted import (VanishingSystem, duality_check, evaluate_at_partition,
                       fat_hook_point, interpolation_by_branching,
-                      interpolation_polynomial, interpolation_tableau_sum,
+                      interpolation_polynomial, interpolation_pstar_expansion,
+                      interpolation_tableau_sum,
                       shifted_super_macdonald, shifted_super_tableau_sum)
 from .verify import SUITES, run_suite
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -287,7 +288,16 @@ def _run(args):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return _run(args)
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: send what is still buffered to
+        # devnull so the interpreter's final flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (MacruiError, ValueError, OSError) as exc:
         error = {"kind": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, NonDivisibleError) and exc.remainder is not None:

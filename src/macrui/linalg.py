@@ -6,53 +6,16 @@ from .errors import SingularSystemError
 from .scalar import S_ZERO
 
 
-def solve_square(matrix, rhs):
-    """Solve A x = b exactly by Gaussian elimination with nonzero pivoting.
-
-    ``matrix`` is a list of rows of QTScalar; ``rhs`` a list of QTScalar.
-    Raises SingularSystemError when no unique solution exists.
-    """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
-        raise ValueError("solve_square needs a square system")
-    a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not a[r][col].is_zero():
-                pivot = r
-                break
+def _row_reduce(rows, ncols):
+    """Gauss-Jordan elimination of ``rows`` in place, pivoting on the first
+    ``ncols`` columns with the first nonzero entry at or below the current
+    row.  Returns the pivot columns; later columns are carried along."""
+    pivots = []
+    for col in range(ncols):
+        rk = len(pivots)
+        pivot = next((r for r in range(rk, len(rows)) if not rows[r][col].is_zero()),
+                     None)
         if pivot is None:
-            raise SingularSystemError(f"no pivot in column {col}")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col].inverse()
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = a[r][col]
-            if factor.is_zero():
-                continue
-            a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
-
-
-def rank(matrix):
-    """Rank of a matrix of QTScalar entries, by exact row reduction."""
-    if not matrix:
-        return 0
-    rows = [list(r) for r in matrix]
-    ncols = len(rows[0])
-    rk = 0
-    col = 0
-    while rk < len(rows) and col < ncols:
-        pivot = None
-        for r in range(rk, len(rows)):
-            if not rows[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            col += 1
             continue
         rows[rk], rows[pivot] = rows[pivot], rows[rk]
         inv = rows[rk][col].inverse()
@@ -63,9 +26,31 @@ def rank(matrix):
             factor = rows[r][col]
             if not factor.is_zero():
                 rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rk])]
-        rk += 1
-        col += 1
-    return rk
+        pivots.append(col)
+    return pivots
+
+
+def solve_square(matrix, rhs):
+    """Solve A x = b exactly by Gaussian elimination with nonzero pivoting.
+
+    ``matrix`` is a list of rows of QTScalar; ``rhs`` a list of QTScalar.
+    Raises SingularSystemError when no unique solution exists.
+    """
+    n = len(matrix)
+    if any(len(row) != n for row in matrix) or len(rhs) != n:
+        raise ValueError("solve_square needs a square system")
+    a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    if len(_row_reduce(a, n)) < n:
+        raise SingularSystemError("the system has no unique solution")
+    return [a[i][n] for i in range(n)]
+
+
+def rank(matrix):
+    """Rank of a matrix of QTScalar entries, by exact row reduction."""
+    if not matrix:
+        return 0
+    rows = [list(r) for r in matrix]
+    return len(_row_reduce(rows, len(rows[0])))
 
 
 def vectors_rank(vectors):

@@ -16,9 +16,10 @@ from functools import cache
 from .errors import InvalidPartitionError, MacruiError
 from . import partitions as pt
 from .operators import apply_mr, mr_eigenvalue
-from .polyring import MultiPoly, VarSpace, linear_combination
+from .polyring import MultiPoly, VarSpace
 from .scalar import QTScalar, S_ONE, S_ZERO
-from .symfun import (SymExpansion, monomial_symmetric, monomial_to_power_expansion,
+from .symfun import (SymExpansion, from_monomial_expansion, monomial_symmetric,
+                     monomial_to_power_expansion,
                      qt_ratio_automorphism, restrict_p_expansion,
                      to_monomial_expansion)
 
@@ -69,10 +70,7 @@ def _macdonald_m_expansion(lam, N):
 
 def macdonald_polynomial(lam, N):
     """P_lam in N variables (z-space)."""
-    coeffs = macdonald_m_expansion(tuple(lam), N)
-    return linear_combination(
-        VarSpace.z(N),
-        [(c, monomial_symmetric(mu, N)) for mu, c in coeffs.items()])
+    return from_monomial_expansion(SymExpansion("m", N, macdonald_m_expansion(lam, N)))
 
 
 # ---------------------------------------------------------------------------

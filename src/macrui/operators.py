@@ -18,7 +18,7 @@ from .errors import NonDivisibleError, NotSymmetricError
 from . import partitions as pt
 from .polyring import MultiPoly, VarSpace
 from .scalar import (P_ONE, P_Q, P_T, QTPolynomial, QTScalar, S_ONE, S_Q,
-                     S_T, qt_gcd)
+                     S_T, over_common_denominator)
 
 OperatorResult = namedtuple("OperatorResult", ["value", "divisibility_witnesses"])
 
@@ -33,18 +33,8 @@ _M_T = -P_T
 
 def _clear_denominators(f):
     """Split f into (terms with QTPolynomial coefficients, common denominator)."""
-    den = P_ONE
-    for c in f.terms.values():
-        if c.den.terms != P_ONE.terms:
-            g = qt_gcd(den, c.den)
-            den = den * c.den.exact_divide(g)
-    zt = {}
-    for e, c in f.terms.items():
-        num = c.num
-        if c.den.terms != den.terms:
-            num = num * den.exact_divide(c.den)
-        zt[e] = num
-    return zt, den
+    nums, den = over_common_denominator(f.terms.values())
+    return dict(zip(f.terms, nums)), den
 
 
 def _z_scale(zt, poly):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 
 from .errors import NonDivisibleError, NotSymmetricError, SpaceMismatchError
-from .scalar import QTScalar, S_ONE, S_ZERO, _coerce
+from .scalar import P_ONE, QTScalar, S_ONE, S_ZERO, _coerce, over_common_denominator
 
 
 class VarSpace:
@@ -437,26 +437,15 @@ def linear_combination(space, pairs):
     """Exact sum of scalar * polynomial, assembled over one cleared denominator.
 
     The polynomials must carry denominator-free coefficients (as basis
-    elements here always do); the scalars may be arbitrary.  This avoids
-    re-reducing fractions on every intermediate addition.
+    elements here always do); the scalars may be arbitrary.  The numerators
+    are summed in Z[q, t] over the least common denominator, and each output
+    coefficient is reduced once.
     """
-    from .scalar import P_ONE, QTScalar, qt_gcd
-
-    items = []
-    den = P_ONE
-    for c, poly in pairs:
-        c = _coerce(c)
-        if c.is_zero() or poly.is_zero():
-            continue
-        items.append((c, poly))
-        if c.den.terms != P_ONE.terms:
-            g = qt_gcd(den, c.den)
-            den = den * c.den.exact_divide(g)
+    items = [(_coerce(c), poly) for c, poly in pairs]
+    items = [(c, poly) for c, poly in items if not (c.is_zero() or poly.is_zero())]
+    mults, den = over_common_denominator(c for c, _ in items)
     acc = {}
-    for c, poly in items:
-        mult = c.num
-        if c.den.terms != den.terms:
-            mult = mult * den.exact_divide(c.den)
+    for mult, (_, poly) in zip(mults, items):
         for e, v in poly.terms.items():
             if v.den.terms != P_ONE.terms:
                 raise ValueError("linear_combination needs denominator-free coefficients")

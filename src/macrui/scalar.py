@@ -248,6 +248,26 @@ def qt_gcd(a, b):
     return _sign_normalized(QTPolynomial._raw(out))
 
 
+def _is_unit(p):
+    """True for the polynomials 1 and -1."""
+    return len(p.terms) == 1 and p.terms.get((0, 0)) in (1, -1)
+
+
+def over_common_denominator(scalars):
+    """The numerators of ``scalars`` over L, and L: the least common multiple
+    of their denominators, with positive leading coefficient.  No gcd is
+    taken while the running multiple is still 1."""
+    scalars = list(scalars)
+    den = P_ONE
+    for c in scalars:
+        d = c.den
+        if d.terms == P_ONE.terms or d.terms == den.terms:
+            continue
+        den = d if den.terms == P_ONE.terms else den * d.exact_divide(qt_gcd(den, d))
+    return [c.num if c.den.terms == den.terms else c.num * den.exact_divide(c.den)
+            for c in scalars], den
+
+
 def _sign_normalized(p):
     if p.terms and p.terms[max(p.terms)] < 0:
         return -p
@@ -378,14 +398,15 @@ class QTScalar:
             return S_ZERO
         if self.den is P_ONE and other.den is P_ONE:
             return QTScalar._raw(self.num * other.num, P_ONE)
-        # cross-cancellation keeps the product reduced without a final gcd
+        # cross-cancellation keeps the product reduced without a final gcd;
+        # a numerator of +-1 (as inverse() gives) has nothing to cancel
         n1, d2 = self.num, other.den
-        if d2 is not P_ONE:
+        if d2 is not P_ONE and not _is_unit(n1):
             g = qt_gcd(n1, d2)
             if g.terms != P_ONE.terms:
                 n1, d2 = n1.exact_divide(g), d2.exact_divide(g)
         n2, d1 = other.num, self.den
-        if d1 is not P_ONE:
+        if d1 is not P_ONE and not _is_unit(n2):
             g = qt_gcd(n2, d1)
             if g.terms != P_ONE.terms:
                 n2, d1 = n2.exact_divide(g), d1.exact_divide(g)

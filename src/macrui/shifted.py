@@ -20,9 +20,9 @@ from . import partitions as pt
 from .linalg import solve_square
 from .macdonald import (bitableau_weight, bitableaux, branching_coefficients,
                         reverse_tableaux, strip_boxes)
-from .polyring import MultiPoly, VarSpace, linear_combination
+from .polyring import MultiPoly, VarSpace
 from .scalar import S_ONE, S_ZERO, q_pow, qt_monomial, t_pow
-from .symfun import (shifted_power_product, to_shifted_power_expansion,
+from .symfun import (SymExpansion, from_shifted_power_expansion,
                      restrict_shifted_expansion)
 
 
@@ -43,6 +43,15 @@ def _pstar_product_value(mu, nu):
     return v
 
 
+def _check_variable_count(lam, N):
+    if len(lam) > N:
+        raise InvalidPartitionError(f"{lam} needs more than {N} variables")
+    if N < pt.weight(lam):
+        raise SingularSystemError(
+            f"the vanishing characterization of {lam} needs at least "
+            f"{pt.weight(lam)} variables")
+
+
 class VanishingSystem:
     """The square collocation system characterizing one interpolation polynomial.
 
@@ -53,15 +62,10 @@ class VanishingSystem:
 
     def __init__(self, lam, N):
         lam = pt.as_partition(lam)
+        _check_variable_count(lam, N)
         self.shape = lam
         self.degree = pt.weight(lam)
         self.N = N
-        if len(lam) > N:
-            raise InvalidPartitionError(f"{lam} needs more than {N} variables")
-        if N < self.degree:
-            raise SingularSystemError(
-                f"the vanishing characterization of {lam} needs at least "
-                f"{self.degree} variables")
         self.unknowns = pt.partitions_up_to(self.degree)
         self.points = pt.partitions_up_to(self.degree)
 
@@ -79,26 +83,38 @@ class VanishingSystem:
         return dict(zip(self.unknowns, coeffs))
 
 
+def interpolation_pstar_expansion(lam):
+    """The p*-expansion of the interpolation polynomial of shape lambda.
+
+    The vanishing system does not depend on the variable count, so it is
+    solved once per shape, at N = |lambda|; the test suite checks the result
+    against the expansion recovered from the polynomial at |lambda| and
+    |lambda| + 1 variables.
+    """
+    return _interpolation_pstar_expansion(pt.as_partition(lam))
+
+
+@cache
+def _interpolation_pstar_expansion(lam):
+    d = pt.weight(lam)
+    return SymExpansion("pstar", d, VanishingSystem(lam, d).solve())
+
+
 def interpolation_polynomial(lam, N):
     """The interpolation polynomial of shape lambda in N variables.
 
-    Solved from the vanishing characterization (the reference construction);
-    requires N >= |lambda|, otherwise the conditions do not pin the
-    polynomial down and the call is rejected.
+    Renders the p*-expansion solved from the vanishing characterization (the
+    reference construction); requires N >= |lambda|, otherwise the conditions
+    do not pin the polynomial down and the call is rejected.
     """
     return _interpolation_polynomial(pt.as_partition(lam), N)
 
 
 @cache
 def _interpolation_polynomial(lam, N):
-    if pt.weight(lam) == 0:
-        if N < 0:
-            raise ValueError("negative variable count")
-        return MultiPoly.one(VarSpace.z(N))
-    system = VanishingSystem(lam, N)
-    return linear_combination(
-        VarSpace.z(N),
-        [(c, shifted_power_product(mu, N)) for mu, c in system.solve().items()])
+    if lam:  # for the empty shape, VarSpace.z rejects a negative N
+        _check_variable_count(lam, N)
+    return from_shifted_power_expansion(interpolation_pstar_expansion(lam), N)
 
 
 def evaluate_at_partition(f, mu, base="q"):
@@ -210,10 +226,7 @@ def fat_hook_point(lam, n, m):
 def shifted_super_macdonald(lam, n, m):
     """Image of the interpolation polynomial under the shifted restriction;
     exactly zero when the diagram leaves the fat (n, m)-hook."""
-    lam = pt.as_partition(lam)
-    N = max(pt.weight(lam), len(lam), 1)
-    P = interpolation_polynomial(lam, N)
-    return restrict_shifted_expansion(to_shifted_power_expansion(P), n, m)
+    return restrict_shifted_expansion(interpolation_pstar_expansion(lam), n, m)
 
 
 def shifted_super_tableau_sum(lam, n, m):

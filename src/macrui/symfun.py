@@ -14,9 +14,9 @@ from functools import cache
 from .errors import NotSymmetricError, SingularSystemError
 from . import partitions as pt
 from .linalg import solve_square
-from .polyring import MultiPoly, VarSpace
-from .scalar import (P_ONE, P_ZERO, QTPolynomial, QTScalar, S_ONE, S_Q, S_T,
-                     S_ZERO, _coerce, qt_gcd, qt_ratio, t_pow)
+from .polyring import MultiPoly, VarSpace, linear_combination
+from .scalar import (S_ONE, S_Q, S_T, S_ZERO, _coerce, one_minus_q, one_minus_t,
+                     q_pow, qt_ratio, t_pow)
 
 
 class SymExpansion:
@@ -137,10 +137,9 @@ def to_monomial_expansion(f):
 
 
 def from_monomial_expansion(e):
-    out = MultiPoly.zero(VarSpace.z(e.N))
-    for lam, c in e.coeffs.items():
-        out = out + monomial_symmetric(lam, e.N).scale(c)
-    return out
+    return linear_combination(
+        VarSpace.z(e.N),
+        [(c, monomial_symmetric(lam, e.N)) for lam, c in e.coeffs.items()])
 
 
 @cache
@@ -215,103 +214,49 @@ def deformed_newton_sum(r, n, m):
     return MultiPoly._raw(space, terms)
 
 
-def _unit_power(i, r, dim):
-    return (0,) * i + (r,) + (0,) * (dim - i - 1)
-
-
 def _newton_factor(r, n, m):
     """(1 - t^r) p_r(x) + (1 - q^r) p_r(y), which is (1 - t^r) times the image
-    of p_r, as a map from exponent vectors to QTPolynomial coefficients."""
-    x_factor = P_ONE - QTPolynomial.monomial(0, r)
-    y_factor = P_ONE - QTPolynomial.monomial(r, 0)
-    return {_unit_power(i, r, n + m): x_factor if i < n else y_factor
-            for i in range(n + m)}
+    of p_r, with Z[q, t] coefficients."""
+    return deformed_newton_sum(r, n, m).scale(one_minus_t(r))
 
 
 def _shifted_newton_factor(r, n, m):
     """(1 - t^r) times the image of p*_r under the shifted restriction:
     (1 - t^r) sum_i (x_i^r - 1) t^{r(i-1)}
-    + (1 - q^r) sum_j (y_j^r - t^{rn}) q^{r(j-1)}."""
-    x_factor = P_ONE - QTPolynomial.monomial(0, r)
-    y_factor = P_ONE - QTPolynomial.monomial(r, 0)
-    out = {}
-    const = P_ZERO
-    for i in range(n):
-        w = x_factor * QTPolynomial.monomial(0, r * i)
-        out[_unit_power(i, r, n + m)] = w
-        const = const - w
-    for j in range(m):
-        w = y_factor * QTPolynomial.monomial(r * j, 0)
-        out[_unit_power(n + j, r, n + m)] = w
-        const = const - w * QTPolynomial.monomial(0, r * n)
-    if const:
-        out[(0,) * (n + m)] = const
-    return out
+    + (1 - q^r) sum_j (y_j^r - t^{rn}) q^{r(j-1)}, with Z[q, t] coefficients."""
+    space = VarSpace.xy(n, m)
+    pairs = [(one_minus_t(r) * t_pow(r * i), MultiPoly.variable(space, i) ** r - 1)
+             for i in range(n)]
+    pairs += [(one_minus_q(r) * q_pow(r * j),
+               MultiPoly.variable(space, n + j) ** r - t_pow(r * n))
+              for j in range(m)]
+    return linear_combination(space, pairs)
 
 
 @cache
 def _cleared_image(factor, mu, n, m):
-    """s_mu = prod_k (1 - t^{mu_k}) times the image of the generator product
-    over mu: the product of the cleared generator images ``factor(k, n, m)``.
-
-    Returns s_mu and the image as a map from exponent vectors to QTPolynomial
-    coefficients.
-    """
-    s_mu = P_ONE
-    image = {(0,) * (n + m): P_ONE}
-    for k in mu:
-        s_mu = s_mu * (P_ONE - QTPolynomial.monomial(0, k))
-        fk = factor(k, n, m).items()
-        nxt = {}
-        for e1, c1 in image.items():
-            for e2, c2 in fk:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = c1 * c2
-                prev = nxt.get(e)
-                if prev is not None:
-                    v = prev + v
-                if v:
-                    nxt[e] = v
-                else:
-                    del nxt[e]
-        image = nxt
-    return s_mu, image
+    """s_mu = prod_k (1 - t^{mu_k}) and s_mu times the image of the generator
+    product over mu, which is the product of the cleared generator images
+    ``factor(k, n, m)`` and has Z[q, t] coefficients.  Built on the image of
+    the prefix mu[:-1]."""
+    if not mu:
+        return S_ONE, MultiPoly.one(VarSpace.xy(n, m))
+    s_prefix, image = _cleared_image(factor, mu[:-1], n, m)
+    k = mu[-1]
+    return s_prefix * one_minus_t(k), image * factor(k, n, m)
 
 
 def _restrict_cleared(e, factor, n, m):
     """Image of an expansion under the restriction map whose cleared
-    generator images ``factor`` gives.
-
-    The term of mu, with coefficient c_mu, maps to (c_mu / s_mu) times its
-    cleared image.  Each
-    c_mu / s_mu is reduced and put over one common denominator L, two gcds
-    per mu; the numerators are summed in Z[q, t] with no gcd, and each
-    output coefficient is reduced once against L.  Reducing c_mu / s_mu
-    before it joins L keeps L small, which saves more in the final
-    reductions than the extra gcd costs.
-    """
-    parts = []
-    common = P_ONE
+    generator images ``factor`` gives: the sum of (c_mu / s_mu) times the
+    cleared image of mu, over one common denominator.  Reducing c_mu / s_mu
+    before it joins that denominator keeps it small, which saves more in the
+    final reductions than the gcd costs."""
+    pairs = []
     for mu, c in e.coeffs.items():
         s_mu, image = _cleared_image(factor, mu, n, m)
-        num, den = c.num, c.den
-        if s_mu.terms != P_ONE.terms:
-            g = qt_gcd(num, s_mu)
-            num, den = num.exact_divide(g), den * s_mu.exact_divide(g)
-        if common.terms == P_ONE.terms:
-            common = den
-        elif den.terms != P_ONE.terms:
-            common = common * den.exact_divide(qt_gcd(common, den))
-        parts.append((num, den, image))
-    sums = {}
-    for num, den, image in parts:
-        scale = num * common.exact_divide(den)
-        for exp, coeff in image.items():
-            v = scale * coeff
-            prev = sums.get(exp)
-            sums[exp] = v if prev is None else prev + v
-    return MultiPoly._raw(VarSpace.xy(n, m),
-                          {exp: QTScalar(v, common) for exp, v in sums.items() if v})
+        pairs.append((c / s_mu, image))
+    return linear_combination(VarSpace.xy(n, m), pairs)
 
 
 def restrict_p_expansion(e, n, m):
@@ -351,13 +296,8 @@ def shifted_power_sum(r, N):
     if r < 1:
         raise ValueError("shifted power sums need r >= 1")
     space = VarSpace.z(N)
-    out = MultiPoly.zero(space)
-    for i in range(N):
-        w = t_pow(r * i)
-        e = [0] * N
-        e[i] = r
-        out = out + MultiPoly._raw(space, {tuple(e): w}) - MultiPoly.constant(space, w)
-    return out
+    return linear_combination(
+        space, [(t_pow(r * i), MultiPoly.variable(space, i) ** r - 1) for i in range(N)])
 
 
 def shifted_power_product(lam, N):
@@ -402,10 +342,10 @@ def to_shifted_power_expansion(f):
         top = _to_unshifted_coordinates(work.homogeneous_component(d))
         if not top.is_symmetric("all"):
             raise NotSymmetricError("not shifted symmetric")
-        pexp = monomial_to_power_expansion(to_monomial_expansion(top))
-        for mu, c in pexp.coeffs.items():
-            out[mu] = out.get(mu, S_ZERO) + c
-            work = work - shifted_power_product(mu, N).scale(c)
+        layer = SymExpansion("pstar", N, monomial_to_power_expansion(
+            to_monomial_expansion(top)).coeffs)
+        out.update(layer.coeffs)
+        work = work - from_shifted_power_expansion(layer, N)
         if work.degree() >= d:
             raise NotSymmetricError("shifted expansion failed to reduce the degree")
     const = work.constant_term()
@@ -418,10 +358,9 @@ def to_shifted_power_expansion(f):
 
 
 def from_shifted_power_expansion(e, N):
-    out = MultiPoly.zero(VarSpace.z(N))
-    for mu, c in e.coeffs.items():
-        out = out + shifted_power_product(mu, N).scale(c)
-    return out
+    return linear_combination(
+        VarSpace.z(N),
+        [(c, shifted_power_product(mu, N)) for mu, c in e.coeffs.items()])
 
 
 def restrict_shifted_expansion(e, n, m):

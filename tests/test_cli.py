@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -242,3 +246,17 @@ def test_verify_reports_lowered_bounds():
                          "--format", "text"])
     assert code == 0
     assert "bound: Hecke quadratic degree<=1" in out
+
+
+def test_closed_stdout_exits_quietly():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.Popen([sys.executable, "-m", "macrui.cli", "eigenvalue",
+                             "--lambda", "2,1"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err == b""

@@ -1,0 +1,55 @@
+"""Dense exact linear algebra over Q(q, t): solving and rank."""
+
+import pytest
+
+from macrui.errors import SingularSystemError
+from macrui.linalg import rank, solve_square, vectors_rank
+from macrui.scalar import S_ONE, S_Q, S_T, S_ZERO, qt_ratio
+
+
+def test_solve_square_three_by_three():
+    a = [[S_Q, S_ONE, S_ZERO],
+         [S_T, S_Q - S_T, S_ONE],
+         [S_ONE, S_ZERO, qt_ratio(2)]]
+    b = [S_ONE, S_Q * S_T, S_ONE - S_T]
+    x = solve_square(a, b)
+    assert len(x) == 3
+    for row, rhs in zip(a, b):
+        total = S_ZERO
+        for coeff, value in zip(row, x):
+            total = total + coeff * value
+        assert total == rhs
+    # the solution is not trivially polynomial: some entry has a denominator
+    assert any(v.den.terms != S_ONE.num.terms for v in x)
+
+
+def test_solve_square_singular():
+    a = [[S_Q, S_T], [S_Q * S_Q, S_Q * S_T]]
+    with pytest.raises(SingularSystemError):
+        solve_square(a, [S_ONE, S_ONE])
+    with pytest.raises(SingularSystemError):
+        solve_square([[S_ZERO, S_ONE], [S_ZERO, S_T]], [S_ONE, S_ZERO])
+
+
+def test_solve_square_needs_a_square_system():
+    with pytest.raises(ValueError):
+        solve_square([[S_ONE, S_Q]], [S_ONE])
+    with pytest.raises(ValueError):
+        solve_square([[S_ONE, S_ZERO], [S_ZERO, S_ONE]], [S_ONE])
+
+
+def test_rank_examples():
+    # a zero column in front, and a third row dependent on the first two
+    m = [[S_ZERO, S_Q, S_ONE, S_T],
+         [S_ZERO, S_ONE, S_T, S_ZERO],
+         [S_ZERO, S_Q + S_ONE, S_ONE + S_T, S_T]]
+    assert rank(m) == 2
+    assert rank([[S_ZERO, S_ZERO], [S_ZERO, S_ZERO]]) == 0
+    assert rank([]) == 0
+    assert rank([[S_ONE], [S_Q], [S_T]]) == 1
+
+
+def test_vectors_rank_examples():
+    assert vectors_rank([]) == 0
+    assert vectors_rank([{}, {}]) == 0
+    assert vectors_rank([{(1,): S_Q}, {(1,): S_T, (2,): S_ONE}]) == 2

@@ -12,6 +12,7 @@ from macrui.scalar import S_ONE, S_Q, S_T, q_pow, qt_ratio, t_pow
 from macrui.shifted import (duality_check, evaluate_at_partition,
                             fat_hook_point, interpolation_by_branching,
                             interpolation_polynomial,
+                            interpolation_pstar_expansion,
                             interpolation_tableau_sum,
                             shifted_super_macdonald,
                             shifted_super_tableau_sum)
@@ -30,6 +31,10 @@ def test_vanishing_solve_needs_enough_variables():
         interpolation_polynomial((2,), 1)
     with pytest.raises(InvalidPartitionError):
         interpolation_polynomial((1, 1), 1)
+    with pytest.raises(InvalidPartitionError):
+        interpolation_polynomial((1,), -1)
+    with pytest.raises(ValueError):
+        interpolation_polynomial((), -1)
 
 
 def test_vanishing_system_surface():
@@ -115,6 +120,31 @@ def test_shifted_expansion_coefficients_stable_in_variable_count():
         small = to_shifted_power_expansion(interpolation_polynomial(lam, d))
         large = to_shifted_power_expansion(interpolation_polynomial(lam, d + 1))
         assert small.coeffs == large.coeffs
+    # the solved expansion against the one recovered from the rendered polynomial
+    for d in range(5):
+        for lam in pt.partitions_of(d):
+            for N in (d, d + 1):
+                rendered = to_shifted_power_expansion(interpolation_polynomial(lam, N))
+                assert interpolation_pstar_expansion(lam) == rendered, (lam, N)
+
+
+def test_vanishing_system_solved_once_per_shape(monkeypatch):
+    from macrui import shifted
+
+    shifted._interpolation_pstar_expansion.cache_clear()
+    shifted._interpolation_polynomial.cache_clear()
+    calls = []
+    solve = shifted.VanishingSystem.solve
+
+    def counted(self):
+        calls.append((self.shape, self.N))
+        return solve(self)
+
+    monkeypatch.setattr(shifted.VanishingSystem, "solve", counted)
+    for N in (3, 4, 5):
+        interpolation_polynomial((2, 1), N)
+    shifted_super_macdonald((2, 1), 1, 1)
+    assert calls == [((2, 1), 3)]
 
 
 def test_variable_reduction_stability():

@@ -14,7 +14,7 @@ from macrui.scalar import (QTScalar, S_ONE, S_Q, S_T, one_minus_q,
                            t_pow)
 from macrui.shifted import evaluate_at_partition, interpolation_polynomial
 from macrui.symfun import (SymExpansion, deformed_newton_sum,
-                           in_deformed_algebra, is_shifted_symmetric,
+                           from_monomial_expansion, in_deformed_algebra, is_shifted_symmetric,
                            monomial_symmetric, monomial_to_power_expansion,
                            power_sum, power_sum_product, qt_ratio_automorphism,
                            restrict_p_expansion, restrict_shifted_expansion,
@@ -48,6 +48,13 @@ def test_monomial_expansion_examples():
     sp = VarSpace.z(2)
     with pytest.raises(NotSymmetricError):
         to_monomial_expansion(MultiPoly.variable(sp, 0) - MultiPoly.variable(sp, 1))
+
+
+def test_monomial_expansion_round_trip():
+    for d in range(4):
+        for lam in pt.partitions_of(d):
+            P = macdonald_polynomial(lam, 3)
+            assert from_monomial_expansion(to_monomial_expansion(P)) == P
 
 
 def test_monomial_to_power_examples():
