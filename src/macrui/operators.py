@@ -11,20 +11,21 @@ denominators of the input are cleared first and restored at the end.
 
 from __future__ import annotations
 
-import heapq
 from collections import namedtuple
 
 from .errors import NonDivisibleError, NotSymmetricError
 from . import partitions as pt
 from .polyring import MultiPoly, VarSpace
 from .scalar import (P_ONE, P_Q, P_T, QTPolynomial, QTScalar, S_ONE, S_Q,
-                     S_T, over_common_denominator)
+                     S_T, over_common_denominator, over_irreducible)
 
 OperatorResult = namedtuple("OperatorResult", ["value", "divisibility_witnesses"])
 
 _M_ONE = QTPolynomial.from_int(-1)
 _M_Q = -P_Q
 _M_T = -P_T
+_ONE_MINUS_Q = P_ONE - P_Q
+_ONE_MINUS_T = P_ONE - P_T
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +85,7 @@ def _z_transpose(zt, i, j):
 
 def _z_mul_binomial(zt, i, j, cpoly):
     """Multiply by the binomial v_i + cpoly * v_j."""
+    neg = cpoly == _M_ONE
     out = {}
     for e, c in zt.items():
         ne = list(e)
@@ -101,12 +103,11 @@ def _z_mul_binomial(zt, i, j, cpoly):
         ne[i] -= 1
         ne[j] += 1
         k2 = tuple(ne)
-        c2 = c * cpoly
         s = out.get(k2)
         if s is None:
-            out[k2] = c2
+            out[k2] = -c if neg else c * cpoly
         else:
-            s = s + c2
+            s = s - c if neg else s + c * cpoly
             if s.is_zero():
                 del out[k2]
             else:
@@ -115,54 +116,64 @@ def _z_mul_binomial(zt, i, j, cpoly):
 
 
 def _z_div_binomial(zt, i, j, cpoly):
-    """Divide exactly by v_i + cpoly * v_j with i < j (monic in graded lex).
+    """Divide exactly by v_i + cpoly * v_j with i < j.
 
-    Returns the quotient; raises NonDivisibleError with the remainder.
+    The terms that agree outside (i, j) and in s = e_i + e_j form a line.
+    With f_k the coefficient of v_i^{s-k} v_j^k on a line, the quotient is
+    g_k = f_k - cpoly * g_{k-1} and the remainder at v_j^s is
+    f_s - cpoly * g_{s-1}: f with v_i = -cpoly * v_j substituted.  For
+    cpoly = -1 the quotient is a running sum.
+
+    Returns (quotient, remainder), the remainder None when it is zero.
     """
-    work = dict(zt)
-    quo = {}
-    rem = {}
-    heap = [(-sum(e), tuple(-x for x in e)) for e in work]
-    heapq.heapify(heap)
-    while heap:
-        key = heapq.heappop(heap)
-        e = tuple(-x for x in key[1])
-        c = work.pop(e, None)
-        if c is None:
-            continue
-        if e[i] == 0:
-            rem[e] = c
-            continue
-        ne = list(e)
-        ne[i] -= 1
-        qe = tuple(ne)
-        prev = quo.get(qe)
-        quo[qe] = c if prev is None else prev + c
-        ne[j] += 1
-        ke = tuple(ne)
-        delta = c * cpoly
-        s = work.get(ke)
-        if s is None:
-            if not delta.is_zero():
-                work[ke] = -delta
-                heapq.heappush(heap, (-sum(ke), tuple(-x for x in ke)))
-        else:
-            s = s - delta
-            if s.is_zero():
-                del work[ke]
-            else:
-                work[ke] = s
-    quo = {e: c for e, c in quo.items() if not c.is_zero()}
-    rem = {e: c for e, c in rem.items() if not c.is_zero()}
-    if rem:
-        return quo, rem
-    return quo, None
+    lines = {}
+    for e, c in zt.items():
+        s = e[i] + e[j]
+        key = e[:i] + (0,) + e[i + 1:j] + (s,) + e[j + 1:]
+        line = lines.get(key)
+        if line is None:
+            line = lines[key] = [None] * (s + 1)
+        line[e[j]] = c
+    neg = cpoly == _M_ONE
+    quo, rem = {}, {}
+    for key, line in lines.items():
+        s = len(line) - 1
+        ne = list(key)
+        g = None
+        for k, f in enumerate(line):
+            if g is not None:
+                if neg:
+                    f = g if f is None else f + g
+                else:
+                    cg = g * cpoly
+                    f = -cg if f is None else f - cg
+            if f is not None:
+                if f.is_zero():
+                    f = None
+                elif k == s:
+                    rem[key] = f
+                else:
+                    ne[i], ne[j] = s - 1 - k, k
+                    quo[tuple(ne)] = f
+            g = f
+    return quo, (rem or None)
 
 
-def _z_to_poly(space, zt, scalar_den):
+def _z_to_poly(space, zt, den0, irreducibles):
+    """The polynomial with coefficients c / (den0 * prod(irreducibles)).
+
+    Each distinct numerator is reduced once: over ``den0`` (no gcd when it
+    is 1), then by one trial division per irreducible factor.
+    """
+    memo = {}
     terms = {}
     for e, c in zt.items():
-        v = QTScalar(c, scalar_den)
+        v = memo.get(c)
+        if v is None:
+            v = QTScalar(c, den0)
+            for p in irreducibles:
+                v = over_irreducible(v, p)
+            memo[c] = v
         if not v.is_zero():
             terms[e] = v
     return MultiPoly._raw(space, terms)
@@ -174,7 +185,7 @@ def _require_block_symmetric(f, block, what):
             raise NotSymmetricError(f"input not symmetric in the {what} block")
 
 
-def _divide_factors(space, total, factors, scalar_den):
+def _divide_factors(space, total, factors, den0, irreducibles):
     """Divide ``total`` by every binomial factor; collect witnesses."""
     witnesses = []
     for (a, b, cpoly) in factors:
@@ -184,7 +195,7 @@ def _divide_factors(space, total, factors, scalar_den):
         if rem is not None:
             raise NonDivisibleError(
                 f"operator sum not divisible by {name}; input outside the operator domain",
-                remainder=_z_to_poly(space, rem, scalar_den))
+                remainder=_z_to_poly(space, rem, den0, irreducibles))
         witnesses.append(name)
     return total, witnesses
 
@@ -265,9 +276,9 @@ def apply_mr_detailed(f, block=None):
     total = _antisymmetrized(_z_sub(_z_shift(zt, i0, "q"), zt), block,
                              [(k, _M_T) for k in block[1:]], pairs)
     factors = [(a, b, _M_ONE) for (a, b) in pairs]
-    scalar_den = (P_ONE - P_Q) * den0
-    total, witnesses = _divide_factors(space, total, factors, scalar_den)
-    return OperatorResult(_z_to_poly(space, total, scalar_den), witnesses)
+    irreducibles = (_ONE_MINUS_Q,)
+    total, witnesses = _divide_factors(space, total, factors, den0, irreducibles)
+    return OperatorResult(_z_to_poly(space, total, den0, irreducibles), witnesses)
 
 
 def apply_mr(f, block=None):
@@ -309,9 +320,9 @@ def apply_deformed_mr_detailed(f, check=False):
     total, pairs = _deformed_sum(
         space, lambda i, base: _z_sub(_z_shift(zt, i, base), zt))
     factors = [(a, b, _M_ONE) for (a, b) in pairs]
-    scalar_den = (P_ONE - P_Q) * (P_ONE - P_T) * den0
-    total, witnesses = _divide_factors(space, total, factors, scalar_den)
-    return OperatorResult(_z_to_poly(space, total, scalar_den), witnesses)
+    irreducibles = (_ONE_MINUS_Q, _ONE_MINUS_T)
+    total, witnesses = _divide_factors(space, total, factors, den0, irreducibles)
+    return OperatorResult(_z_to_poly(space, total, den0, irreducibles), witnesses)
 
 
 def apply_deformed_mr(f, check=False):

@@ -438,8 +438,8 @@ def linear_combination(space, pairs):
 
     The polynomials must carry denominator-free coefficients (as basis
     elements here always do); the scalars may be arbitrary.  The numerators
-    are summed in Z[q, t] over the least common denominator, and each output
-    coefficient is reduced once.
+    are summed in Z[q, t] over the least common denominator, and each
+    distinct output numerator is reduced once.
     """
     items = [(_coerce(c), poly) for c, poly in pairs]
     items = [(c, poly) for c, poly in items if not (c.is_zero() or poly.is_zero())]
@@ -452,9 +452,12 @@ def linear_combination(space, pairs):
             contrib = v.num * mult
             s = acc.get(e)
             acc[e] = contrib if s is None else s + contrib
+    memo = {}  # a symmetric result repeats each numerator across an orbit
     terms = {}
     for e, num in acc.items():
-        val = QTScalar(num, den)
+        val = memo.get(num)
+        if val is None:
+            val = memo[num] = QTScalar(num, den)
         if not val.is_zero():
             terms[e] = val
     return MultiPoly._raw(space, terms)

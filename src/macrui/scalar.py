@@ -102,7 +102,14 @@ class QTPolynomial:
     def __sub__(self, other):
         if isinstance(other, int):
             other = QTPolynomial.from_int(other)
-        return self + (-other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            s = out.get(e, 0) - c
+            if s:
+                out[e] = s
+            elif e in out:
+                del out[e]
+        return QTPolynomial._raw(out)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -490,6 +497,25 @@ def _coerce(x):
     if isinstance(x, QTPolynomial):
         return QTScalar._raw(x, P_ONE)
     return NotImplemented
+
+
+def over_irreducible(s, p):
+    """The reduced scalar s / p, for p irreducible and primitive in Z[q, t]
+    (such as 1 - q or 1 - t).
+
+    Since s is reduced and Z[q, t] is a UFD, gcd(s.num, s.den * p) is 1 or
+    p up to sign, so one trial division by p decides it and no gcd is taken.
+    """
+    if s.is_zero():
+        return s
+    try:
+        return QTScalar._raw(s.num.exact_divide(p), s.den)
+    except ValueError:
+        pass
+    num, den = s.num, s.den * p
+    if den.terms[max(den.terms)] < 0:
+        num, den = -num, -den
+    return QTScalar._raw(num, den)
 
 
 def qt_monomial(qexp, texp=0):

@@ -1,17 +1,22 @@
 """The difference operator, its deformation, Hecke and commuting operators."""
 
+import heapq
+import random
+
 import pytest
 
 from macrui import partitions as pt
 from macrui.errors import NonDivisibleError, NotSymmetricError
 from macrui.macdonald import macdonald_polynomial
-from macrui.operators import (apply_deformed_mr, apply_deformed_mr_detailed,
+from macrui.operators import (_z_div_binomial, _z_mul_binomial, _z_sub,
+                              apply_deformed_mr, apply_deformed_mr_detailed,
                               apply_mr, apply_mr_detailed, cherednik_dunkl,
                               coefficient_sum_identity, cycle_shift, hecke_T,
                               hecke_T_inv, mr_eigenvalue,
                               operator_from_shifted_symmetric)
 from macrui.polyring import MultiPoly, VarSpace
-from macrui.scalar import QTScalar, S_ONE, S_Q, S_T, one_minus_q, qt_ratio
+from macrui.scalar import (P_Q, P_T, QTPolynomial, QTScalar, S_ONE, S_Q, S_T,
+                           one_minus_q, qt_ratio)
 from macrui.symfun import (in_deformed_algebra, monomial_symmetric,
                            restrict_p_expansion, shifted_power_sum,
                            to_monomial_expansion)
@@ -206,3 +211,80 @@ def test_eigen_relation_at_minimal_variable_count():
             N = len(lam) + 1
             P = macdonald_polynomial(lam, N)
             assert apply_mr(P) == P.scale(mr_eigenvalue(lam))
+
+
+def _heap_div_binomial(zt, i, j, cpoly):
+    """Reference division by v_i + cpoly * v_j (i < j): the leading term
+    v_i is cancelled in graded-lex order, one term at a time from a heap."""
+    work = dict(zt)
+    quo = {}
+    rem = {}
+    heap = [(-sum(e), tuple(-x for x in e)) for e in work]
+    heapq.heapify(heap)
+    while heap:
+        key = heapq.heappop(heap)
+        e = tuple(-x for x in key[1])
+        c = work.pop(e, None)
+        if c is None:
+            continue
+        if e[i] == 0:
+            rem[e] = c
+            continue
+        ne = list(e)
+        ne[i] -= 1
+        qe = tuple(ne)
+        prev = quo.get(qe)
+        quo[qe] = c if prev is None else prev + c
+        ne[j] += 1
+        ke = tuple(ne)
+        delta = c * cpoly
+        s = work.get(ke)
+        if s is None:
+            if not delta.is_zero():
+                work[ke] = -delta
+                heapq.heappush(heap, (-sum(ke), tuple(-x for x in ke)))
+        else:
+            s = s - delta
+            if s.is_zero():
+                del work[ke]
+            else:
+                work[ke] = s
+    quo = {e: c for e, c in quo.items() if not c.is_zero()}
+    rem = {e: c for e, c in rem.items() if not c.is_zero()}
+    return quo, (rem or None)
+
+
+def _random_terms(rng, nvars, nterms, max_deg=3):
+    out = {}
+    for _ in range(nterms):
+        e = tuple(rng.randint(0, max_deg) for _ in range(nvars))
+        c = QTPolynomial({(rng.randint(0, 2), rng.randint(0, 2)): rng.choice([-3, -1, 1, 2]),
+                          (rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-2, 2)})
+        if not c.is_zero():
+            out[e] = c
+    return out
+
+
+def test_line_division_matches_heap_division():
+    rng = random.Random(6)
+    m_one = QTPolynomial.from_int(-1)
+    remainders = 0
+    for nvars in (3, 4):
+        # every pair i < j: adjacent and non-adjacent
+        for (i, j) in [(a, b) for a in range(nvars) for b in range(a + 1, nvars)]:
+            for cpoly in (m_one, -P_Q, -P_T):
+                for _ in range(4):
+                    g = _random_terms(rng, nvars, 6)
+                    multiple = _z_mul_binomial(g, i, j, cpoly)
+                    quo, rem = _z_div_binomial(multiple, i, j, cpoly)
+                    assert rem is None and quo == g
+                    assert (quo, rem) == _heap_div_binomial(multiple, i, j, cpoly)
+                    other = _random_terms(rng, nvars, 5)
+                    for f in (other, _z_mul_binomial(other, i, j, cpoly) | g):
+                        quo, rem = _z_div_binomial(f, i, j, cpoly)
+                        assert (quo, rem) == _heap_div_binomial(f, i, j, cpoly)
+                        # f = (v_i + cpoly v_j) quo + rem, with rem free of v_i
+                        assert _z_sub(f, _z_mul_binomial(quo, i, j, cpoly)) == (rem or {})
+                        assert all(e[i] == 0 for e in rem or ())
+                        remainders += rem is not None
+    assert remainders > 0

@@ -13,9 +13,10 @@ from macrui import jsonio
 from macrui.cli import main
 from macrui.errors import ScalarDivisionError, SpecialParameterError
 from macrui.polyring import MultiPoly, VarSpace
-from macrui.scalar import (P_ONE, P_Q, P_T, QTPolynomial, QTScalar, S_ONE,
-                           S_Q, S_T, S_ZERO, one_minus_q, one_minus_t,
-                           qt_arith, qt_eval, qt_gcd, qt_monomial)
+from macrui.scalar import (P_ONE, P_Q, P_T, P_ZERO, QTPolynomial, QTScalar,
+                           S_ONE, S_Q, S_T, S_ZERO, one_minus_q, one_minus_t,
+                           over_irreducible, qt_arith, qt_eval, qt_gcd,
+                           qt_monomial)
 
 
 def poly(d):
@@ -167,3 +168,28 @@ def test_eval_is_ring_homomorphism(a, b):
         return
     assert vab == va * vb
     assert vsum == va + vb
+
+
+def test_over_irreducible_matches_general_reduction():
+    one_q, one_t = P_ONE - P_Q, P_ONE - P_T
+    two_plus_t = poly({(0, 0): 2, (0, 1): 1})
+    one_plus_q = P_ONE + P_Q
+    cases = [
+        (one_q * two_plus_t * P_T, P_ONE),          # 1 - q divides num
+        (one_t * one_t * 3, P_ONE),                  # 1 - t divides num
+        (P_ONE + P_Q + P_T * P_T, P_ONE),            # divides neither
+        (P_Q * 5, -P_ONE),                           # a negative denominator
+        (two_plus_t, P_T - P_ONE),                   # den * p flips sign
+        (one_plus_q * one_q * P_T, one_plus_q * two_plus_t),    # den != 1, shared factor
+        (two_plus_t * one_t, one_plus_q * 4),        # den != 1, no shared factor
+        (P_ZERO, one_plus_q),                        # zero
+    ]
+    for num, den in cases:
+        s = QTScalar(num, den)
+        for p in (one_q, one_t):
+            got = over_irreducible(s, p)
+            assert got == QTScalar(num, den * p)
+            assert (got.den is P_ONE) == (got.den.terms == P_ONE.terms)
+        # both factors in turn, as the deformed operator divides them
+        both = over_irreducible(over_irreducible(s, one_q), one_t)
+        assert both == QTScalar(num, den * one_q * one_t)
