@@ -2,7 +2,9 @@
 
 Values are fractions of sparse integer polynomials in the two parameters
 q and t, kept fully reduced so that equality of values is equality of
-representations.  The normalization convention: numerator and denominator
+representations.  The gcds that reduce them come from an in-house heuristic
+gcd (GCDHEU); sympy's gcd finishes the rare pairs on which it gives up, and
+is imported only then.  The normalization convention: numerator and denominator
 share no common factor (including integer content), and the denominator's
 lexicographically leading term (q before t) has a positive coefficient.
 Zero is stored as 0/1.
@@ -13,15 +15,10 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 import heapq
+import math
 from fractions import Fraction
 
-from sympy.polys.domains import ZZ as _SYMPY_ZZ
-from sympy.polys.polyerrors import HeuristicGCDFailed
-from sympy.polys.rings import ring as _sympy_ring
-
 from .errors import ScalarDivisionError, SpecialParameterError
-
-_SYMPY_RING = _sympy_ring("q,t", _SYMPY_ZZ)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -173,33 +170,10 @@ class QTPolynomial:
         """Quotient self/other when the division is exact; ValueError otherwise."""
         if not other.terms:
             raise ZeroDivisionError("polynomial division by zero")
-        ge, gc = other.lex_leading()
-        gtail = [(e, c) for e, c in other.terms.items() if e != ge]
-        rem = dict(self.terms)
-        quo = {}
-        heap = [(-e[0], -e[1]) for e in rem]
-        heapq.heapify(heap)
-        while heap:
-            k = heapq.heappop(heap)
-            e = (-k[0], -k[1])
-            c = rem.pop(e, 0)
-            if not c:
-                continue
-            if e[0] < ge[0] or e[1] < ge[1] or c % gc:
-                raise ValueError("not divisible")
-            qe = (e[0] - ge[0], e[1] - ge[1])
-            qc = c // gc
-            quo[qe] = quo.get(qe, 0) + qc
-            for te, tc in gtail:
-                ke = (qe[0] + te[0], qe[1] + te[1])
-                s = rem.get(ke, 0) - qc * tc
-                if s:
-                    if ke not in rem:
-                        heapq.heappush(heap, (-ke[0], -ke[1]))
-                    rem[ke] = s
-                elif ke in rem:
-                    del rem[ke]
-        return QTPolynomial._raw({e: c for e, c in quo.items() if c})
+        quo = _quotient(self.terms, other.terms)
+        if quo is None:
+            raise ValueError("not divisible")
+        return QTPolynomial._raw(quo)
 
     def __str__(self):
         if not self.terms:
@@ -239,20 +213,171 @@ def qt_gcd(a, b):
 
     The result exactly divides both inputs; its lexicographically leading
     coefficient is positive.  Raises ValueError for gcd(0, 0).
+
+    Computed by the heuristic gcd ``_heugcd``; on the rare pairs where that
+    gives up, sympy's gcd (``dmp_inner_gcd``, whose last resort is a
+    remainder sequence) finishes, and only then is sympy imported.
     """
-    if a.is_zero() and b.is_zero():
+    return _gcd_cofactors(a, b)[0]
+
+
+def _gcd_cofactors(a, b):
+    """(g, a/g, b/g) for g = qt_gcd(a, b): the cofactors are the quotients
+    of the exact divisions that accept g.
+
+    The shortcuts and the exponent deflation are those of sympy's sparse
+    ``PolyElement.cofactors``, so g is the gcd sympy gives, sign-normalized.
+    """
+    fa, fb = a.terms, b.terms
+    if not fa and not fb:
         raise ValueError("gcd(0, 0) is undefined")
-    if a.is_zero():
-        return _sign_normalized(b)
-    if b.is_zero():
-        return _sign_normalized(a)
-    fa, fb = _SYMPY_RING.from_dict(a.terms), _SYMPY_RING.from_dict(b.terms)
-    try:
-        g = fa.gcd(fb)
-    except HeuristicGCDFailed:  # the sparse gcd has no fallback of its own
-        g = _SYMPY_RING.dmp_inner_gcd(fa, fb)[0]
-    out = {(int(e[0]), int(e[1])): int(c) for e, c in g.to_dict().items()}
-    return _sign_normalized(QTPolynomial._raw(out))
+    if not fa or not fb:
+        g, cf, cg = (fb, {}, {(0, 0): 1}) if fb else (fa, {(0, 0): 1}, {})
+    elif len(fa) == 1 or len(fb) == 1:  # a monomial: gcd of exponents and coefficients
+        g = {tuple(map(min, zip(*fa, *fb))): math.gcd(*fa.values(), *fb.values())}
+        cf, cg = _quotient(fa, g), _quotient(fb, g)
+    else:
+        # deflate: (q^J0, t^J1) -> (q, t), with J the gcd of the exponents
+        J = tuple(math.gcd(*exps) or 1 for exps in zip(*fa, *fb))
+        if J != (1, 1):
+            fa, fb = ({(k[0] // J[0], k[1] // J[1]): c for k, c in f.items()}
+                      for f in (fa, fb))
+        out = _heugcd(fa, fb, 0)
+        if out is None:
+            g, cf, cg = _fallback_cofactors(a.terms, b.terms)
+        elif J != (1, 1):
+            g, cf, cg = ({(k[0] * J[0], k[1] * J[1]): c for k, c in f.items()}
+                         for f in out)
+        else:
+            g, cf, cg = out
+    if g[max(g)] < 0:
+        g, cf, cg = ({k: -c for k, c in f.items()} for f in (g, cf, cg))
+    return QTPolynomial._raw(g), QTPolynomial._raw(cf), QTPolynomial._raw(cg)
+
+
+def _heugcd(f, g, var):
+    """Heuristic gcd (GCDHEU: Char, Geddes and Gonnet 1989) of nonzero terms
+    dicts: (h, f/h, g/h), or None when it gives up.
+
+    ``var`` is the first variable still present (0: q, 1: t, 2: none, so f
+    and g are integers); the exponents before it are 0.  The variable is
+    evaluated at an integer xi and the images' gcd taken by recursion.  A
+    candidate rebuilt from the balanced base-xi digits of an image (the gcd,
+    then each cofactor) is accepted only if it divides f and g exactly.
+    Step for step this is sympy's ``heugcd``: its choice and growth of xi,
+    its 6 tries, and its sign and content conventions at every level.
+    """
+    if var == 2:
+        a, b = f[(0, 0)], g[(0, 0)]
+        h = math.gcd(a, b)
+        return {(0, 0): h}, {(0, 0): a // h}, {(0, 0): b // h}
+    content = math.gcd(*f.values(), *g.values())
+    if content != 1:
+        f, g = ({k: c // content for k, c in p.items()} for p in (f, g))
+    f_norm, g_norm = max(map(abs, f.values())), max(map(abs, g.values()))
+    bound = 2 * min(f_norm, g_norm) + 29
+    xi = max(min(bound, 99 * math.isqrt(bound)),
+             2 * min(f_norm // abs(f[max(f)]), g_norm // abs(g[max(g)])) + 4)
+    for _ in range(6):
+        ff, gg = _evaluated(f, var, xi), _evaluated(g, var, xi)
+        if ff and gg:
+            images = _heugcd(ff, gg, var + 1)
+            if images is None:
+                return None
+            for route, image in enumerate(images):
+                p = _interpolated(image, var, xi)
+                if route == 0:  # the primitive part of the gcd image
+                    d = math.gcd(*p.values())
+                    h = p if d == 1 else {k: v // d for k, v in p.items()}
+                else:  # p is a candidate cofactor of f (route 1) or g (route 2)
+                    h = _quotient((f, g)[route - 1], p)
+                cf = h and _quotient(f, h)
+                cg = cf and _quotient(g, h)
+                if cg:
+                    if content != 1:
+                        h = {k: c * content for k, c in h.items()}
+                    return h, cf, cg
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _evaluated(f, var, xi):
+    """f with variable ``var`` set to xi, zero terms dropped."""
+    out = {}
+    for k, c in f.items():
+        key = (0, k[1]) if var == 0 else (0, 0)
+        out[key] = out.get(key, 0) + c * xi ** k[var]
+    return {k: c for k, c in out.items() if c}
+
+
+def _interpolated(image, var, xi):
+    """The polynomial whose coefficients of (variable ``var``)^i are the
+    balanced base-xi digits i of the coefficients of ``image``, negated if
+    needed for a positive leading coefficient."""
+    out, half = {}, xi // 2
+    for k, c in image.items():
+        i = 0
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[(i, k[1]) if var == 0 else (0, i)] = d
+            c = (c - d) // xi
+            i += 1
+    return {k: -c for k, c in out.items()} if out[max(out)] < 0 else out
+
+
+def _fallback_cofactors(fa, fb):
+    """(g, fa/g, fb/g) from sympy's dense gcd, for the pairs on which the
+    heuristic gives up.  The one place that imports sympy."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.rings import ring
+
+    R = ring("q,t", ZZ)[0]
+    out = R.dmp_inner_gcd(R.from_dict(fa), R.from_dict(fb))
+    return [{(int(k[0]), int(k[1])): int(c) for k, c in p.to_dict().items()}
+            for p in out]
+
+
+def _quotient(f, h):
+    """f / h for terms dicts (h nonzero) when h divides f exactly in Z[q, t],
+    else None.  Lexicographic division, q before t."""
+    if len(h) == 1:  # a monomial divides term by term
+        (e0, e1), c = next(iter(h.items()))
+        if c == 1 and not (e0 or e1):
+            return f
+        if any(k[0] < e0 or k[1] < e1 or v % c for k, v in f.items()):
+            return None
+        return {(k[0] - e0, k[1] - e1): v // c for k, v in f.items()}
+    ge = max(h)
+    gc = h[ge]
+    gtail = [(e, c) for e, c in h.items() if e != ge]
+    rem = dict(f)
+    quo = {}
+    heap = [(-e[0], -e[1]) for e in rem]
+    heapq.heapify(heap)
+    while heap:
+        k = heapq.heappop(heap)
+        e = (-k[0], -k[1])
+        c = rem.pop(e, 0)
+        if not c:
+            continue
+        if e[0] < ge[0] or e[1] < ge[1] or c % gc:
+            return None
+        qe = (e[0] - ge[0], e[1] - ge[1])
+        qc = c // gc
+        quo[qe] = quo.get(qe, 0) + qc
+        for te, tc in gtail:
+            ke = (qe[0] + te[0], qe[1] + te[1])
+            s = rem.get(ke, 0) - qc * tc
+            if s:
+                if ke not in rem:
+                    heapq.heappush(heap, (-ke[0], -ke[1]))
+                rem[ke] = s
+            elif ke in rem:
+                del rem[ke]
+    return {e: c for e, c in quo.items() if c}
 
 
 def _is_unit(p):
@@ -273,12 +398,6 @@ def over_common_denominator(scalars):
         den = d if den.terms == P_ONE.terms else den * d.exact_divide(qt_gcd(den, d))
     return [c.num if c.den.terms == den.terms else c.num * den.exact_divide(c.den)
             for c in scalars], den
-
-
-def _sign_normalized(p):
-    if p.terms and p.terms[max(p.terms)] < 0:
-        return -p
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +422,7 @@ class QTScalar:
             self.num, self.den = P_ZERO, P_ONE
             return
         if den.terms != P_ONE.terms:
-            g = qt_gcd(num, den)
-            if g.terms != P_ONE.terms:
-                num = num.exact_divide(g)
-                den = den.exact_divide(g)
+            _, num, den = _gcd_cofactors(num, den)
         if den.terms == P_ONE.terms:
             den = P_ONE
         elif den.terms[max(den.terms)] < 0:
@@ -363,11 +479,7 @@ class QTScalar:
             num = self.num + other.num
             if num.is_zero():
                 return S_ZERO
-            g = qt_gcd(num, d1)
-            if g.terms != P_ONE.terms:
-                num, den = num.exact_divide(g), d1.exact_divide(g)
-            else:
-                den = d1
+            _, num, den = _gcd_cofactors(num, d1)
             return QTScalar._raw(num, P_ONE if den.terms == P_ONE.terms else den)
         # reduced addition: only gcd(d1, d2) and gcd(num, that) are needed
         g = P_ONE if (d1 is P_ONE or d2 is P_ONE) else qt_gcd(d1, d2)
@@ -409,14 +521,10 @@ class QTScalar:
         # a numerator of +-1 (as inverse() gives) has nothing to cancel
         n1, d2 = self.num, other.den
         if d2 is not P_ONE and not _is_unit(n1):
-            g = qt_gcd(n1, d2)
-            if g.terms != P_ONE.terms:
-                n1, d2 = n1.exact_divide(g), d2.exact_divide(g)
+            _, n1, d2 = _gcd_cofactors(n1, d2)
         n2, d1 = other.num, self.den
         if d1 is not P_ONE and not _is_unit(n2):
-            g = qt_gcd(n2, d1)
-            if g.terms != P_ONE.terms:
-                n2, d1 = n2.exact_divide(g), d1.exact_divide(g)
+            _, n2, d1 = _gcd_cofactors(n2, d1)
         den = d1 * d2
         if den.terms == P_ONE.terms:
             den = P_ONE

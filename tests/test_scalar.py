@@ -2,14 +2,18 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macrui import jsonio
+from macrui import jsonio, scalar
 from macrui.cli import main
 from macrui.errors import ScalarDivisionError, SpecialParameterError
 from macrui.polyring import MultiPoly, VarSpace
@@ -135,15 +139,21 @@ def test_gcd_divides_both(a, b):
     assert b.exact_divide(g) * g == b
 
 
-def test_gcd_when_the_heuristic_gcd_fails():
-    # sympy's sparse heuristic gcd gives up on this pair ("no luck"); qt_gcd
-    # then finishes with sympy's remainder-sequence gcd
+def test_gcd_when_the_heuristic_gcd_fails(monkeypatch):
+    # the heuristic gcd gives up on this pair ("no luck", as sympy's does);
+    # qt_gcd then finishes with sympy's dense gcd, down to its remainder sequence
     a = poly({(10, 0): 24, (9, 3): -24, (9, 2): -24, (9, 1): -24, (9, 0): -24,
               (8, 5): 24, (8, 4): 24, (8, 3): 48, (8, 2): 24, (8, 1): 24,
               (7, 6): -24, (7, 5): -24, (7, 4): -24, (7, 3): -24, (6, 6): 24})
     b = poly({(0, 16): 24, (0, 15): -24, (0, 14): -24, (0, 11): 48,
               (0, 8): -24, (0, 7): -24, (0, 6): 24})
+    assert scalar._heugcd(a.terms, b.terms, 0) is None
+    fallbacks = []
+    fallback = scalar._fallback_cofactors
+    monkeypatch.setattr(scalar, "_fallback_cofactors",
+                        lambda fa, fb: fallbacks.append(1) or fallback(fa, fb))
     assert qt_gcd(a, b) == poly({(0, 0): 24})
+    assert fallbacks
     s = QTScalar(a, b)
     assert s.num * b == s.den * a
 
@@ -154,6 +164,88 @@ def test_gcd_when_the_heuristic_gcd_fails():
     assert code == 0
     result = jsonio.poly_from_json(json.loads(buf.getvalue())["result"])
     assert result == f.scale(QTScalar.from_int(-1))
+
+
+def sympy_gcd(a, b):
+    """The oracle: sympy's sparse gcd (its dense one if the heuristic gives
+    up), sign-normalized like qt_gcd."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.polyerrors import HeuristicGCDFailed
+    from sympy.polys.rings import ring
+
+    R = ring("q,t", ZZ)[0]
+    fa, fb = R.from_dict(a.terms), R.from_dict(b.terms)
+    try:
+        g = fa.gcd(fb)
+    except HeuristicGCDFailed:
+        g = R.dmp_inner_gcd(fa, fb)[0]
+    g = poly({(int(e[0]), int(e[1])): int(c) for e, c in g.to_dict().items()})
+    return -g if g.terms[max(g.terms)] < 0 else g
+
+
+@st.composite
+def gcd_pairs(draw):
+    """(x*g, y*g) for random x, y, g, times a shared monomial with integer
+    content.  Exponents may be multiples of 2 in q or of 3 in t only (the
+    deflation), any operand may be one term, and signs are random, so
+    leading coefficients are often negative."""
+    stride = draw(st.sampled_from([(1, 1), (2, 1), (1, 3), (2, 3)]))
+
+    def factor():
+        n = draw(st.sampled_from([1, 4]))
+        terms = {(stride[0] * draw(exponents), stride[1] * draw(exponents)):
+                 draw(coeffs.filter(bool)) for _ in range(draw(st.integers(1, n)))}
+        return QTPolynomial(terms)
+
+    x, y, g = factor(), factor(), factor()
+    shared = QTPolynomial.monomial(stride[0] * draw(st.integers(0, 2)),
+                                   stride[1] * draw(st.integers(0, 2)),
+                                   draw(st.integers(1, 6)))
+    sign = draw(st.sampled_from([1, -1]))
+    return x * g * shared * sign, y * g * shared
+
+
+@settings(max_examples=150, deadline=None)
+@given(gcd_pairs())
+def test_gcd_matches_sympy(pair):
+    a, b = pair
+    g = qt_gcd(a, b)
+    assert g == sympy_gcd(a, b)
+    g2, ca, cb = scalar._gcd_cofactors(a, b)
+    assert g2 == g and g * ca == a and g * cb == b
+
+
+def test_gcd_fixed_pairs():
+    one_q, one_t = P_ONE + P_Q, P_T - P_ONE
+    # under one Kronecker substitution q -> t^k both sides vanish at t = 1,
+    # so the images share t - 1, which is not a common factor
+    assert qt_gcd(one_q * one_t, P_Q - P_T) == P_ONE
+    cyclotomic = poly({(0, 0): 1, (0, 1): 1, (0, 2): 1, (0, 3): 1})
+    a = cyclotomic * poly({(3, 0): 2, (1, 0): -1, (0, 0): 5})
+    assert qt_gcd(a, poly({(0, 4): 1, (0, 0): -1})) == cyclotomic
+
+
+def test_sympy_stays_off_the_import_path():
+    # sympy is imported only where the heuristic gcd gives up: not by the
+    # package, a verify suite or a super restriction
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "import macrui",
+        "assert 'sympy' not in sys.modules, 'import macrui'",
+        "from macrui.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert main(['verify', '--suite', 'kernel', '--max-weight', '2']) == 0",
+        "assert 'sympy' not in sys.modules, 'verify'",
+        "macrui.super_macdonald((2, 1), 2, 2)",
+        "assert 'sympy' not in sys.modules, 'super_macdonald'",
+    ])
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 @settings(max_examples=60, deadline=None)
