@@ -47,10 +47,9 @@ from .macdonald import (Bitableau, ReverseTableau, bitableaux,
                         macdonald_tableau_sum, parameter_duality_sign,
                         reverse_tableaux, skew_tableau_sum, super_macdonald,
                         super_tableau_sum)
-from .shifted import (VanishingSystem, duality_check, evaluate_at_partition,
-                      fat_hook_point, interpolation_by_branching,
-                      interpolation_polynomial, interpolation_pstar_expansion,
-                      interpolation_tableau_sum,
+from .shifted import (duality_check, evaluate_at_partition, fat_hook_point,
+                      interpolation_by_branching, interpolation_polynomial,
+                      interpolation_pstar_expansion, interpolation_tableau_sum,
                       shifted_super_macdonald, shifted_super_tableau_sum)
 from .verify import SUITES, run_suite
 

@@ -2,11 +2,14 @@
 
 The polynomial attached to a partition is constructed as the unique
 symmetric eigenfunction of the q-difference operator that is monic on its
-monomial term with dominance-lower support (a triangular solve).  Branching
-coefficients are extracted from the constructed polynomials themselves,
-which makes every tableau formula downstream convention-proof.  The
-two-alphabet (super) polynomial is the image under the restriction
-homomorphism computed through the power-sum basis.
+monomial term with dominance-lower support (a triangular solve).  Its
+monomial coefficients do not depend on the variable count (Macdonald,
+SFHP VI.3-4): N only drops the terms with more than N parts, so every
+N >= |lam| shares the one solve at N = |lam|, and an N-variable polynomial
+is a rendering of that expansion.  Branching coefficients are read off the
+same expansion, which makes every tableau formula downstream
+convention-proof.  The two-alphabet (super) polynomial is the image under
+the restriction homomorphism computed through the power-sum basis.
 """
 
 from __future__ import annotations
@@ -35,15 +38,19 @@ def macdonald_m_expansion(lam, N):
 
     Solved triangularly from the eigenfunction condition; the support comes
     out dominance-lower automatically.  Denominators are differences of
-    distinct eigenvalues, nonzero for symbolic parameters.
+    distinct eigenvalues, nonzero for symbolic parameters.  The u_mu do not
+    depend on N, which only drops the mu with more than N parts: every
+    N >= |lam| holds all partitions of |lam| and shares the solve at
+    N = |lam|, and a smaller N solves on the partitions with at most N parts.
     """
-    return _macdonald_m_expansion(pt.as_partition(lam), N)
+    lam = pt.as_partition(lam)
+    if len(lam) > N:
+        raise InvalidPartitionError(f"{lam} needs more than {N} variables")
+    return _macdonald_m_expansion(lam, min(N, pt.weight(lam)))
 
 
 @cache
 def _macdonald_m_expansion(lam, N):
-    if len(lam) > N:
-        raise InvalidPartitionError(f"{lam} needs more than {N} variables")
     d = pt.weight(lam)
     if d == 0:
         return {(): S_ONE}
@@ -77,33 +84,35 @@ def macdonald_polynomial(lam, N):
 # branching and tableau formulas
 # ---------------------------------------------------------------------------
 
-def branching_coefficients(lam, N=None):
+def branching_coefficients(lam):
     """The one-variable branching weights of P_lam.
 
     Peeling the first variable writes P_lam as a sum over horizontal strips
-    lam/mu of psi_{lam/mu} z1^{|lam/mu|} P_mu(rest); the weights are read
-    off from the constructed polynomial by matching monomial expansions, so
-    they are consistent with this library's normalization by construction.
-    The optional N only enlarges the working variable count (the weights do
-    not depend on it).
+    lam/mu of psi_{lam/mu} z1^{|lam/mu|} P_mu(rest).  In l(lam) + 1 variables
+    the coefficient of z1^a m_nu(rest) in P_lam is u_kappa, kappa being nu
+    with one part a added (a = 0 only when l(kappa) <= l(lam)), so each
+    z1-slice is read straight off the m-expansion; the weights are then
+    peeled off the slices, so they are consistent with this library's
+    normalization by construction.
     """
-    return _branching_coefficients(pt.as_partition(lam), N)
+    return _branching_coefficients(pt.as_partition(lam))
 
 
 @cache
-def _branching_coefficients(lam, N):
+def _branching_coefficients(lam):
     if not lam:
         return {(): S_ONE}
-    N = max(N or 0, len(lam) + 1)
-    P = macdonald_polynomial(lam, N)
-    rest_space = VarSpace.z(N - 1)
-    by_power = {}
-    for e, c in P.terms.items():
-        by_power.setdefault(e[0], {})[e[1:]] = c
+    n = len(lam)
+    by_power = {}  # a -> {nu: coefficient of z1^a m_nu(z2, ..., z_{n+1})}
+    for kappa, c in macdonald_m_expansion(lam, n + 1).items():
+        removed = {a: kappa[:i] + kappa[i + 1:] for i, a in enumerate(kappa)}
+        if len(kappa) <= n:
+            removed[0] = kappa
+        for a, nu in removed.items():
+            by_power.setdefault(a, {})[nu] = c
     strips = pt.horizontal_strips_below(lam)
     out = {}
-    for a, terms in by_power.items():
-        expr = dict(to_monomial_expansion(MultiPoly._raw(rest_space, terms)).coeffs)
+    for a, expr in by_power.items():
         cands = sorted((mu for mu in strips if pt.weight(lam) - pt.weight(mu) == a),
                        reverse=True)
         for mu in cands:
@@ -111,7 +120,7 @@ def _branching_coefficients(lam, N):
             out[mu] = psi
             if psi.is_zero():
                 continue
-            for nu, c in macdonald_m_expansion(mu, N - 1).items():
+            for nu, c in macdonald_m_expansion(mu, n).items():
                 if nu == mu:
                     continue
                 s = expr.get(nu, S_ZERO) - psi * c

@@ -26,10 +26,6 @@ def weight(lam):
     return sum(lam)
 
 
-def length(lam):
-    return len(lam)
-
-
 def part(lam, i):
     """The i-th part (1-based), zero beyond the length."""
     return lam[i - 1] if 1 <= i <= len(lam) else 0

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import heapq
 
-from .errors import NonDivisibleError, NotSymmetricError, SpaceMismatchError
-from .scalar import P_ONE, QTScalar, S_ONE, S_ZERO, _coerce, over_common_denominator
+from .errors import NonDivisibleError, SpaceMismatchError
+from .scalar import (P_ONE, P_ZERO, QTScalar, S_ONE, S_ZERO, _coerce,
+                     over_common_denominator)
 
 
 class VarSpace:
@@ -321,14 +322,15 @@ class MultiPoly:
         if len(point) != self.space.dim:
             raise ValueError("point length does not match the space")
         point = [_coerce(p) for p in point]
-        total = S_ZERO
+        values = []
         for e, c in self.terms.items():
             v = c
             for x, k in zip(point, e):
                 if k:
                     v = v * x ** k
-            total = total + v
-        return total
+            values.append(v)
+        nums, den = over_common_denominator(values)
+        return QTScalar(sum(nums, P_ZERO), den)
 
     # -- symmetry -------------------------------------------------------------
 
@@ -473,7 +475,3 @@ def poly_arith(f, g, op):
         return f * g
     raise ValueError(f"unknown operation {op!r}")
 
-
-def require_symmetric(f, block="all"):
-    if not f.is_symmetric(block):
-        raise NotSymmetricError(f"polynomial is not symmetric on block {block!r}")

@@ -52,52 +52,28 @@ def _check_variable_count(lam, N):
             f"{pt.weight(lam)} variables")
 
 
-class VanishingSystem:
-    """The square collocation system characterizing one interpolation polynomial.
-
-    Unknowns are the shifted power-sum products of weight at most the degree;
-    conditions are the values at every evaluation point q^mu of weight at most
-    the degree: zero away from the target shape, the hook product on it.
-    """
-
-    def __init__(self, lam, N):
-        lam = pt.as_partition(lam)
-        _check_variable_count(lam, N)
-        self.shape = lam
-        self.degree = pt.weight(lam)
-        self.N = N
-        self.unknowns = pt.partitions_up_to(self.degree)
-        self.points = pt.partitions_up_to(self.degree)
-
-    def matrix(self):
-        return [[_pstar_product_value(mu, nu) for mu in self.unknowns]
-                for nu in self.points]
-
-    def rhs(self):
-        return [pt.hook_product(self.shape) if nu == self.shape else S_ZERO
-                for nu in self.points]
-
-    def solve(self):
-        """The p*-coefficients of the interpolation polynomial, as a map."""
-        coeffs = solve_square(self.matrix(), self.rhs())
-        return dict(zip(self.unknowns, coeffs))
-
-
 def interpolation_pstar_expansion(lam):
     """The p*-expansion of the interpolation polynomial of shape lambda.
 
     The vanishing system does not depend on the variable count, so it is
-    solved once per shape, at N = |lambda|; the test suite checks the result
-    against the expansion recovered from the polynomial at |lambda| and
-    |lambda| + 1 variables.
+    solved once per shape; the test suite checks the result against the
+    expansion recovered from the polynomial at |lambda| and |lambda| + 1
+    variables.
     """
     return _interpolation_pstar_expansion(pt.as_partition(lam))
 
 
 @cache
 def _interpolation_pstar_expansion(lam):
-    d = pt.weight(lam)
-    return SymExpansion("pstar", d, VanishingSystem(lam, d).solve())
+    # the square collocation system: the unknowns are the shifted power-sum
+    # products of weight at most |lam|, the conditions the values at every
+    # point q^nu of weight at most |lam|: zero away from lam, the hook
+    # product on it
+    basis = pt.partitions_up_to(pt.weight(lam))
+    matrix = [[_pstar_product_value(mu, nu) for mu in basis] for nu in basis]
+    rhs = [pt.hook_product(lam) if nu == lam else S_ZERO for nu in basis]
+    coeffs = solve_square(matrix, rhs)
+    return SymExpansion("pstar", pt.weight(lam), dict(zip(basis, coeffs)))
 
 
 def interpolation_polynomial(lam, N):
@@ -190,13 +166,12 @@ def interpolation_tableau_sum(lam, N):
     return total.scale(pt.normalization_alignment(lam))
 
 
-def duality_check(lam, mu, N=None):
+def duality_check(lam, mu):
     """Exact check of the evaluation duality: the value of the lambda
     polynomial at q^mu equals the hook ratio times the value of the
     conjugate-shape polynomial, with parameters exchanged, at t^{mu'}."""
     lam, mu = pt.as_partition(lam), pt.as_partition(mu)
-    if N is None:
-        N = max(pt.weight(lam), pt.weight(mu), len(lam), len(mu), 1)
+    N = max(pt.weight(lam), pt.weight(mu), len(lam), len(mu), 1)
     lhs = evaluate_at_partition(interpolation_polynomial(lam, N), mu, "q")
     lamc = pt.conjugate(lam)
     ratio = pt.hook_product(lam) / pt.hook_product(lamc).swap_qt()

@@ -5,15 +5,17 @@ import pytest
 from macrui import partitions as pt
 from macrui.errors import InvalidPartitionError
 from macrui.linalg import vectors_rank
+from macrui import macdonald
 from macrui.macdonald import (bitableaux, branching_coefficients,
-                              macdonald_p_expansion, macdonald_polynomial,
+                              macdonald_m_expansion, macdonald_p_expansion,
+                              macdonald_polynomial,
                               macdonald_tableau_sum, parameter_duality_sign,
                               reverse_tableaux, skew_tableau_sum,
                               super_macdonald, super_tableau_sum)
 from macrui.operators import apply_deformed_mr, mr_eigenvalue
 from macrui.polyring import MultiPoly, VarSpace
-from macrui.scalar import S_ONE, S_Q, S_T, qt_ratio
-from macrui.symfun import monomial_symmetric
+from macrui.scalar import S_ONE, S_Q, S_T, S_ZERO, qt_ratio
+from macrui.symfun import monomial_symmetric, to_monomial_expansion
 
 
 def test_column_shapes_are_monomial():
@@ -56,6 +58,57 @@ def test_branching_reassembles_polynomial():
                 z1pow = MultiPoly.variable(space, 0, a) if a else MultiPoly.one(space)
                 total = total + (z1pow * lifted).scale(psi)
             assert total == P
+
+
+def _branching_by_rendering(lam):
+    """The branching weights read from P_lam rendered in l(lam) + 1 variables:
+    each z1-slice is expanded in monomials, and the P_mu are peeled off it
+    from the dominance-highest strip down."""
+    if not lam:
+        return {(): S_ONE}
+    N = len(lam) + 1
+    by_power = {}
+    for e, c in macdonald_polynomial(lam, N).terms.items():
+        by_power.setdefault(e[0], {})[e[1:]] = c
+    strips = pt.horizontal_strips_below(lam)
+    out = {mu: S_ZERO for mu in strips}
+    for a, terms in by_power.items():
+        expr = dict(to_monomial_expansion(MultiPoly(VarSpace.z(N - 1), terms)).coeffs)
+        for mu in sorted((mu for mu in strips if pt.weight(lam) - pt.weight(mu) == a),
+                         reverse=True):
+            psi = out[mu] = expr.pop(mu, S_ZERO)
+            for nu, c in macdonald_m_expansion(mu, N - 1).items():
+                if nu != mu:
+                    expr[nu] = expr.get(nu, S_ZERO) - psi * c
+        assert all(c.is_zero() for c in expr.values()), (lam, a)
+    return out
+
+
+def test_branching_read_off_expansion_matches_rendering():
+    for d in range(6):
+        for lam in pt.partitions_of(d):
+            assert branching_coefficients(lam) == _branching_by_rendering(lam), lam
+
+
+def test_m_expansion_truncates_in_the_variable_count():
+    for d in range(6):
+        for lam in pt.partitions_of(d):
+            full = macdonald_m_expansion(lam, d)
+            for N in range(len(lam), d):
+                truncated = {mu: c for mu, c in full.items() if len(mu) <= N}
+                assert macdonald_m_expansion(lam, N) == truncated, (lam, N)
+
+
+def test_m_expansion_above_the_weight_equals_the_direct_solve():
+    # every N >= |lam| shares the solve at N = |lam|; the triangular solve
+    # with the operator in N variables gives the same coefficients
+    for d in range(5):
+        for lam in pt.partitions_of(d):
+            for N in (d + 1, d + 2):
+                direct = macdonald._macdonald_m_expansion(lam, N)
+                assert macdonald_m_expansion(lam, N) == direct, (lam, N)
+    with pytest.raises(InvalidPartitionError):
+        macdonald_m_expansion((2, 1, 1), 2)
 
 
 def test_tableau_sum_examples():

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from macrui.errors import NonDivisibleError, SpaceMismatchError
 from macrui.polyring import MultiPoly, VarSpace, poly_arith
-from macrui.scalar import QTScalar, S_ONE, S_Q, S_T, q_pow, qt_monomial, t_pow
+from macrui.scalar import (QTScalar, S_ONE, S_Q, S_T, S_ZERO, q_pow, qt_monomial,
+                           t_pow)
 
 
 Z2 = VarSpace.z(2)
@@ -56,6 +57,34 @@ def test_substitute_examples():
     xy = VarSpace.xy(1, 1)
     h = MultiPoly.variable(xy, 0) - MultiPoly.variable(xy, 1)
     assert h.substitute({1: (0, S_ONE)}).is_zero()
+
+
+def _evaluate_term_by_term(f, point):
+    total = S_ZERO
+    for e, c in f.terms.items():
+        v = c
+        for x, k in zip(point, e):
+            v = v * x ** k
+        total = total + v
+    return total
+
+
+def test_evaluate_matches_term_by_term_sum():
+    q_over_t = S_Q / S_T
+    w = (S_ONE - S_Q).inverse()
+    mixed = ((X1 * X1).scale(w) + (X1 * X2).scale((1 + S_T) / (S_T - S_Q))
+             + X2.scale(q_over_t) + MultiPoly.constant(Z2, S_T / (1 + S_Q)))
+    # the summands share a denominator that cancels at (1, 1): the sum is 1
+    cancelling = X1.scale(w) - X2.scale(S_Q * w)
+    polys = [mixed, cancelling, MultiPoly.zero(Z2),
+             MultiPoly.constant(Z2, S_T / (1 + S_Q)), X1 - X2]
+    points = [[q_over_t, w], [S_ONE, S_ONE], [S_Q, S_T * S_T], [w, q_over_t]]
+    for f in polys:
+        for point in points:
+            assert f.evaluate(point) == _evaluate_term_by_term(f, point)
+    assert cancelling.evaluate([S_ONE, S_ONE]) == S_ONE
+    assert MultiPoly.zero(Z2).evaluate([q_over_t, w]) == S_ZERO
+    assert MultiPoly.constant(Z2, w).evaluate([S_Q, S_T]) == w
 
 
 def test_shift_examples():

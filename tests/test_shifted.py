@@ -37,21 +37,6 @@ def test_vanishing_solve_needs_enough_variables():
         interpolation_polynomial((), -1)
 
 
-def test_vanishing_system_surface():
-    from macrui.shifted import VanishingSystem
-
-    sys = VanishingSystem((1, 1), 2)
-    assert sys.degree == 2 and sys.N == 2
-    assert sys.unknowns == pt.partitions_up_to(2)
-    assert len(sys.matrix()) == len(sys.points) == len(sys.unknowns)
-    coeffs = sys.solve()
-    rebuilt = MultiPoly.zero(VarSpace.z(2))
-    from macrui.symfun import shifted_power_product
-    for mu, c in coeffs.items():
-        rebuilt = rebuilt + shifted_power_product(mu, 2).scale(c)
-    assert rebuilt == interpolation_polynomial((1, 1), 2)
-
-
 def test_defining_vanishing_conditions():
     for lam in [(1,), (2,), (1, 1), (2, 1)]:
         d = pt.weight(lam)
@@ -134,17 +119,18 @@ def test_vanishing_system_solved_once_per_shape(monkeypatch):
     shifted._interpolation_pstar_expansion.cache_clear()
     shifted._interpolation_polynomial.cache_clear()
     calls = []
-    solve = shifted.VanishingSystem.solve
+    solve = shifted.solve_square
 
-    def counted(self):
-        calls.append((self.shape, self.N))
-        return solve(self)
+    def counted(matrix, rhs):
+        calls.append(len(rhs))
+        return solve(matrix, rhs)
 
-    monkeypatch.setattr(shifted.VanishingSystem, "solve", counted)
+    monkeypatch.setattr(shifted, "solve_square", counted)
     for N in (3, 4, 5):
         interpolation_polynomial((2, 1), N)
     shifted_super_macdonald((2, 1), 1, 1)
-    assert calls == [((2, 1), 3)]
+    # one square system over the partitions of weight at most 3
+    assert calls == [len(pt.partitions_up_to(3))]
 
 
 def test_variable_reduction_stability():
