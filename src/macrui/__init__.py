@@ -21,13 +21,13 @@ from .errors import (InvalidPartitionError, MacruiError, MalformedInputError,
                      SpecialParameterError)
 from .scalar import (P_ONE, P_Q, P_T, P_ZERO, QTPolynomial, QTScalar, S_ONE,
                      S_Q, S_T, S_ZERO, one_minus_q, one_minus_t, q_pow,
-                     qt_arith, qt_eval, qt_gcd, qt_monomial, qt_ratio, t_pow)
+                     qt_eval, qt_gcd, qt_monomial, qt_ratio, t_pow)
 from .partitions import (arm_leg, as_partition, conjugate,
                          conjugation_sum_identity, contains, dominance_leq,
                          hook_product, in_fat_hook, n_stat,
                          normalization_alignment, partitions_of,
                          partitions_up_to, subpartitions, weight)
-from .polyring import MultiPoly, VarSpace, linear_combination, poly_arith
+from .polyring import MultiPoly, VarSpace, linear_combination
 from .symfun import (SymExpansion, deformed_newton_sum,
                      from_monomial_expansion, from_shifted_power_expansion,
                      in_deformed_algebra, is_shifted_symmetric,

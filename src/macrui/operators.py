@@ -3,10 +3,12 @@ its two-alphabet deformation, and the Hecke / commuting-difference-operator
 calculus that generates higher integrals.
 
 Operator applications never form rational functions in the main variables:
-each sum is assembled over the fully cleared denominator (a product of
-hyperplane binomials) and divided out exactly once at the end.  The engine
-works on terms with polynomial (denominator-free) coefficients; scalar
-denominators of the input are cleared first and restored at the end.
+each sum is assembled over the fully cleared denominator, a product of
+hyperplane binomials v_a - v_b, and divided out exactly once at the end,
+one binomial at a time.  The engine runs polyring's term-dict routines on
+Z[q, t] numerators: scalar denominators of the input are cleared first and
+restored at the end.  The Hecke generators use the same routines on QTScalar
+coefficients, dividing s_i f - f by v_i - v_{i+1}.
 """
 
 from __future__ import annotations
@@ -15,13 +17,13 @@ from collections import namedtuple
 
 from .errors import NonDivisibleError, NotSymmetricError
 from . import partitions as pt
-from .polyring import MultiPoly, VarSpace
+from .polyring import (MultiPoly, VarSpace, _add_into, _div_difference,
+                       _mul_binomial, _scale, _shift, _sub_into, _transpose)
 from .scalar import (P_ONE, P_Q, P_T, QTPolynomial, QTScalar, S_ONE, S_Q,
                      S_T, over_common_denominator, over_irreducible)
 
 OperatorResult = namedtuple("OperatorResult", ["value", "divisibility_witnesses"])
 
-_M_ONE = QTPolynomial.from_int(-1)
 _M_Q = -P_Q
 _M_T = -P_T
 _ONE_MINUS_Q = P_ONE - P_Q
@@ -36,127 +38,6 @@ def _clear_denominators(f):
     """Split f into (terms with QTPolynomial coefficients, common denominator)."""
     nums, den = over_common_denominator(f.terms.values())
     return dict(zip(f.terms, nums)), den
-
-
-def _z_scale(zt, poly):
-    return {e: c * poly for e, c in zt.items()}
-
-
-def _z_sub_into(acc, other):
-    for e, c in other.items():
-        s = acc.get(e)
-        if s is None:
-            acc[e] = -c
-        else:
-            s = s - c
-            if s.is_zero():
-                del acc[e]
-            else:
-                acc[e] = s
-
-
-def _z_sub(a, b):
-    out = dict(a)
-    _z_sub_into(out, b)
-    return out
-
-
-def _z_shift(zt, i, base):
-    """Multiply the coefficient of each term by base^{exponent of v_i}."""
-    out = {}
-    for e, c in zt.items():
-        k = e[i]
-        if k:
-            mono = QTPolynomial.monomial(k, 0) if base == "q" else QTPolynomial.monomial(0, k)
-            out[e] = c * mono
-        else:
-            out[e] = c
-    return out
-
-
-def _z_transpose(zt, i, j):
-    out = {}
-    for e, c in zt.items():
-        ne = list(e)
-        ne[i], ne[j] = ne[j], ne[i]
-        out[tuple(ne)] = c
-    return out
-
-
-def _z_mul_binomial(zt, i, j, cpoly):
-    """Multiply by the binomial v_i + cpoly * v_j."""
-    neg = cpoly == _M_ONE
-    out = {}
-    for e, c in zt.items():
-        ne = list(e)
-        ne[i] += 1
-        k1 = tuple(ne)
-        s = out.get(k1)
-        if s is None:
-            out[k1] = c
-        else:
-            s = s + c
-            if s.is_zero():
-                del out[k1]
-            else:
-                out[k1] = s
-        ne[i] -= 1
-        ne[j] += 1
-        k2 = tuple(ne)
-        s = out.get(k2)
-        if s is None:
-            out[k2] = -c if neg else c * cpoly
-        else:
-            s = s - c if neg else s + c * cpoly
-            if s.is_zero():
-                del out[k2]
-            else:
-                out[k2] = s
-    return out
-
-
-def _z_div_binomial(zt, i, j, cpoly):
-    """Divide exactly by v_i + cpoly * v_j with i < j.
-
-    The terms that agree outside (i, j) and in s = e_i + e_j form a line.
-    With f_k the coefficient of v_i^{s-k} v_j^k on a line, the quotient is
-    g_k = f_k - cpoly * g_{k-1} and the remainder at v_j^s is
-    f_s - cpoly * g_{s-1}: f with v_i = -cpoly * v_j substituted.  For
-    cpoly = -1 the quotient is a running sum.
-
-    Returns (quotient, remainder), the remainder None when it is zero.
-    """
-    lines = {}
-    for e, c in zt.items():
-        s = e[i] + e[j]
-        key = e[:i] + (0,) + e[i + 1:j] + (s,) + e[j + 1:]
-        line = lines.get(key)
-        if line is None:
-            line = lines[key] = [None] * (s + 1)
-        line[e[j]] = c
-    neg = cpoly == _M_ONE
-    quo, rem = {}, {}
-    for key, line in lines.items():
-        s = len(line) - 1
-        ne = list(key)
-        g = None
-        for k, f in enumerate(line):
-            if g is not None:
-                if neg:
-                    f = g if f is None else f + g
-                else:
-                    cg = g * cpoly
-                    f = -cg if f is None else f - cg
-            if f is not None:
-                if f.is_zero():
-                    f = None
-                elif k == s:
-                    rem[key] = f
-                else:
-                    ne[i], ne[j] = s - 1 - k, k
-                    quo[tuple(ne)] = f
-            g = f
-    return quo, (rem or None)
 
 
 def _z_to_poly(space, zt, den0, irreducibles):
@@ -179,19 +60,19 @@ def _z_to_poly(space, zt, den0, irreducibles):
     return MultiPoly._raw(space, terms)
 
 
-def _require_block_symmetric(f, block, what):
-    for a, b in zip(block, block[1:]):
-        if f.swap_variables(a, b) != f:
-            raise NotSymmetricError(f"input not symmetric in the {what} block")
+def _shift_difference(zt, i, factor):
+    """(T_{factor, v_i} - 1) zt."""
+    out = _shift(zt, i, factor)
+    _sub_into(out, zt)
+    return out
 
 
-def _divide_factors(space, total, factors, den0, irreducibles):
-    """Divide ``total`` by every binomial factor; collect witnesses."""
+def _divide_factors(space, total, pairs, den0, irreducibles):
+    """Divide ``total`` by v_a - v_b for every pair; collect witnesses."""
     witnesses = []
-    for (a, b, cpoly) in factors:
-        total, rem = _z_div_binomial(total, a, b, cpoly)
-        name = f"{space.var_name(a)}-{space.var_name(b)}" if cpoly == _M_ONE else \
-            f"{space.var_name(a)}+({cpoly})*{space.var_name(b)}"
+    for (a, b) in pairs:
+        total, rem = _div_difference(total, a, b)
+        name = f"{space.var_name(a)}-{space.var_name(b)}"
         if rem is not None:
             raise NonDivisibleError(
                 f"operator sum not divisible by {name}; input outside the operator domain",
@@ -217,36 +98,37 @@ def _antisymmetrized(start, block, row, pairs):
     i0 = block[0]
     g = start
     for k, cpoly in row:
-        g = _z_mul_binomial(g, i0, k, cpoly)
+        g = _mul_binomial(g, i0, k, cpoly)
     for (a, b) in pairs:
         if a != i0 and b != i0:
-            g = _z_mul_binomial(g, a, b, _M_ONE)
+            g = _mul_binomial(g, a, b, -1)
     total = dict(g)
     for i in block[1:]:
-        _z_sub_into(total, _z_transpose(g, i0, i))
+        _sub_into(total, _transpose(g, i0, i))
     return total
 
 
 def _deformed_sum(space, start):
     """(1-t) sum_i A_i D start(x_i) + (1-q) sum_j B_j D start(y_j), where D is
-    the Vandermonde product over all n + m variables and ``start(i, base)``
-    is the term dict acted on at the distinguished variable i.  Returns the
-    sum and the pairs of D."""
+    the Vandermonde product over all n + m variables and ``start(i, factor)``
+    is the term dict acted on at the distinguished variable i, shifted by
+    q at an x variable and by t at a y variable.  Returns the sum and the
+    pairs of D."""
     n, m = space.n, space.m
     xs, ys = list(space.x_indices()), list(space.y_indices())
     pairs = _pairs(xs) + _pairs(ys) + [(a, b) for a in xs for b in ys]
     total = {}
     if n:
         row = [(k, _M_T) for k in xs[1:]] + [(j, _M_Q) for j in ys]
-        total = _z_scale(_antisymmetrized(start(xs[0], "q"), xs, row, pairs),
-                         P_ONE - P_T)
+        total = _scale(_antisymmetrized(start(xs[0], P_Q), xs, row, pairs),
+                       P_ONE - P_T)
     if m:
         # the n cross pairs (x_a - y_j0) of D read as (y_j0 - x_a) in the
         # row of y_j0, a sign (-1)^n; the subtraction below adds the y half
         row = [(i, _M_T) for i in xs] + [(l, _M_Q) for l in ys[1:]]
         sign = P_Q - P_ONE if n % 2 == 0 else P_ONE - P_Q
-        _z_sub_into(total, _z_scale(
-            _antisymmetrized(start(ys[0], "t"), ys, row, pairs), sign))
+        _sub_into(total, _scale(
+            _antisymmetrized(start(ys[0], P_T), ys, row, pairs), sign))
     return total, pairs
 
 
@@ -266,18 +148,18 @@ def apply_mr_detailed(f, block=None):
         if space.kind != "z":
             raise ValueError("default block applies to z-spaces only")
         block = list(range(space.dim))
-    block = list(block)
-    _require_block_symmetric(f, block, "operator")
+    block = sorted(block)
+    if not f.is_symmetric(block):
+        raise NotSymmetricError("input not symmetric in the operator block")
     if not block or f.is_zero():
         return OperatorResult(MultiPoly.zero(space), [])
     zt, den0 = _clear_denominators(f)
     i0 = block[0]
     pairs = _pairs(block)
-    total = _antisymmetrized(_z_sub(_z_shift(zt, i0, "q"), zt), block,
+    total = _antisymmetrized(_shift_difference(zt, i0, P_Q), block,
                              [(k, _M_T) for k in block[1:]], pairs)
-    factors = [(a, b, _M_ONE) for (a, b) in pairs]
     irreducibles = (_ONE_MINUS_Q,)
-    total, witnesses = _divide_factors(space, total, factors, den0, irreducibles)
+    total, witnesses = _divide_factors(space, total, pairs, den0, irreducibles)
     return OperatorResult(_z_to_poly(space, total, den0, irreducibles), witnesses)
 
 
@@ -298,35 +180,31 @@ def mr_eigenvalue(lam):
 # the deformed operator on two alphabets
 # ---------------------------------------------------------------------------
 
-def apply_deformed_mr_detailed(f, check=False):
+def apply_deformed_mr_detailed(f):
     """Apply the deformed operator mixing q-shifts in x and t-shifts in y.
 
-    The input must be symmetric in each block; with ``check`` it is also
-    verified to satisfy the quasi-invariance condition up front.  Otherwise
-    a violation surfaces as a NonDivisibleError from the cross factors.
+    The input must be symmetric in each block.  An input that violates the
+    quasi-invariance condition surfaces as a NonDivisibleError from the
+    cross factors, carrying the remainder.
     """
     space = f.space
     if space.kind != "xy":
         raise ValueError("the deformed operator acts on xy-spaces")
-    _require_block_symmetric(f, list(space.x_indices()), "x")
-    _require_block_symmetric(f, list(space.y_indices()), "y")
-    if check:
-        from .symfun import in_deformed_algebra
-        if not in_deformed_algebra(f):
-            raise NotSymmetricError("input is not in the deformed algebra")
+    for block in ("x", "y"):
+        if not f.is_symmetric(block):
+            raise NotSymmetricError(f"input not symmetric in the {block} block")
     if f.is_zero():
         return OperatorResult(MultiPoly.zero(space), [])
     zt, den0 = _clear_denominators(f)
     total, pairs = _deformed_sum(
-        space, lambda i, base: _z_sub(_z_shift(zt, i, base), zt))
-    factors = [(a, b, _M_ONE) for (a, b) in pairs]
+        space, lambda i, factor: _shift_difference(zt, i, factor))
     irreducibles = (_ONE_MINUS_Q, _ONE_MINUS_T)
-    total, witnesses = _divide_factors(space, total, factors, den0, irreducibles)
+    total, witnesses = _divide_factors(space, total, pairs, den0, irreducibles)
     return OperatorResult(_z_to_poly(space, total, den0, irreducibles), witnesses)
 
 
-def apply_deformed_mr(f, check=False):
-    return apply_deformed_mr_detailed(f, check).value
+def apply_deformed_mr(f):
+    return apply_deformed_mr_detailed(f).value
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +215,18 @@ def hecke_T(f, i):
     """T_i = 1 + ((v_i - t v_{i+1})/(v_i - v_{i+1})) (s_i - 1), i is 1-based.
 
     Always polynomial: s_i f - f is antisymmetric in the pair, hence
-    divisible by their difference.
+    divisible by their difference with no remainder.
     """
     space = f.space
     a, b = i - 1, i
     if not (1 <= i <= space.dim - 1):
         raise ValueError(f"T_{i} needs 1 <= i <= {space.dim - 1}")
-    diff = f.swap_variables(a, b) - f
-    if diff.is_zero():
-        return f
-    g = diff.exact_divide(MultiPoly.binomial(space, a, b, -S_ONE))
-    return f + MultiPoly.binomial(space, a, b, -S_T) * g
+    diff = _transpose(f.terms, a, b)
+    _sub_into(diff, f.terms)
+    quo, _ = _div_difference(diff, a, b)
+    out = dict(f.terms)
+    _add_into(out, _mul_binomial(quo, a, b, -S_T))
+    return MultiPoly._raw(space, out)
 
 
 def hecke_T_inv(f, i):
@@ -419,12 +298,13 @@ def coefficient_sum_identity(n, m):
     if n + m < 1:
         raise ValueError("need at least one variable")
     one = {(0,) * (n + m): P_ONE}
-    total, pairs = _deformed_sum(VarSpace.xy(n, m), lambda i, base: one)
+    total, pairs = _deformed_sum(VarSpace.xy(n, m), lambda i, factor: one)
     denom = one
     for (a, b) in pairs:
-        denom = _z_mul_binomial(denom, a, b, _M_ONE)
+        denom = _mul_binomial(denom, a, b, -1)
     # identity times (1-t)*D: rhs is (1 - t^n q^m) * D
-    if _z_sub(total, _z_scale(denom, P_ONE - QTPolynomial.monomial(m, n))):
+    _sub_into(total, _scale(denom, P_ONE - QTPolynomial.monomial(m, n)))
+    if total:
         return False
 
     # the one-block sum at N = n + m over the same D:
@@ -432,5 +312,6 @@ def coefficient_sum_identity(n, m):
     N = n + m
     block = list(range(N))
     sw = _antisymmetrized(one, block, [(k, _M_T) for k in block[1:]], pairs)
-    lhs = _z_scale(sw, P_T - P_ONE)
-    return not _z_sub(lhs, _z_scale(denom, QTPolynomial.monomial(0, N) - P_ONE))
+    lhs = _scale(sw, P_T - P_ONE)
+    _sub_into(lhs, _scale(denom, QTPolynomial.monomial(0, N) - P_ONE))
+    return not lhs

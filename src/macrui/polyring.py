@@ -1,10 +1,17 @@
 """Sparse multivariate polynomials over the exact field Q(q, t).
 
 A polynomial lives in a declared variable space: either z_1..z_N, or two
-blocks x_1..x_n, y_1..y_m.  Terms map exponent vectors (tuples) to nonzero
-QTScalar coefficients.  Exponents are nonnegative; Laurent monomials are
-not supported, so operator applications clear denominators and divide
-exactly at the end.
+blocks x_1..x_n, y_1..y_m, with at most 64 variables in all.  Terms map
+exponent vectors (tuples) to nonzero QTScalar coefficients.  Exponents are
+nonnegative; Laurent monomials are not supported, so operator applications
+clear denominators and divide exactly at the end.
+
+The term-dict routines below (add and subtract into, scale, shift,
+transpose, multiply by v_i + c v_j, divide by v_i - v_j) work over any
+coefficient ring: ``MultiPoly`` runs them on QTScalar coefficients and the
+operator engine on Z[q, t] numerators.  Division by v_i - v_j is the only
+polynomial division in the library: every operator denominator is a product
+of such hyperplane binomials.
 
 Values are immutable by convention: never mutate ``terms`` after
 construction.
@@ -12,11 +19,14 @@ construction.
 
 from __future__ import annotations
 
-import heapq
-
-from .errors import NonDivisibleError, SpaceMismatchError
+from .errors import SpaceMismatchError
 from .scalar import (P_ONE, P_ZERO, QTScalar, S_ONE, S_ZERO, _coerce,
                      over_common_denominator)
+
+
+# Every N-variable object is built in a VarSpace, so this cap bounds the
+# exponent vectors and the orbit enumerations before anything is allocated.
+_MAX_VARIABLES = 64
 
 
 class VarSpace:
@@ -29,6 +39,9 @@ class VarSpace:
             raise ValueError("kind must be 'z' or 'xy'")
         if n < 0 or m < 0:
             raise ValueError("variable counts must be nonnegative")
+        if n + m > _MAX_VARIABLES:
+            raise ValueError(f"at most {_MAX_VARIABLES} variables are supported, "
+                             f"got {n + m}")
         if kind == "z" and m:
             raise ValueError("a z-space has a single block")
         self.kind = kind
@@ -71,9 +84,104 @@ class VarSpace:
         return f"VarSpace.xy({self.n}, {self.m})"
 
 
-def _grlex_heapkey(e):
-    # min-heap key whose minimum is the graded-lex maximum
-    return (-sum(e), tuple(-x for x in e))
+# ---------------------------------------------------------------------------
+# term-dict routines over any coefficient ring
+# ---------------------------------------------------------------------------
+
+def _add_into(acc, other):
+    """acc += other, in place."""
+    for e, c in other.items():
+        s = acc.get(e)
+        if s is None:
+            acc[e] = c
+        else:
+            s = s + c
+            if s.is_zero():
+                del acc[e]
+            else:
+                acc[e] = s
+
+
+def _sub_into(acc, other):
+    """acc -= other, in place."""
+    for e, c in other.items():
+        s = acc.get(e)
+        if s is None:
+            acc[e] = -c
+        else:
+            s = s - c
+            if s.is_zero():
+                del acc[e]
+            else:
+                acc[e] = s
+
+
+def _scale(terms, c):
+    return {e: v * c for e, v in terms.items()}
+
+
+def _shift(terms, i, factor):
+    """Multiply the coefficient of each term by factor^{exponent of v_i}."""
+    powers = {k: factor ** k for k in {e[i] for e in terms}}
+    return {e: c * powers[e[i]] if e[i] else c for e, c in terms.items()}
+
+
+def _transpose(terms, i, j):
+    """Exchange the exponents of v_i and v_j."""
+    out = {}
+    for e, c in terms.items():
+        ne = list(e)
+        ne[i], ne[j] = ne[j], ne[i]
+        out[tuple(ne)] = c
+    return out
+
+
+def _mul_binomial(terms, i, j, c):
+    """Multiply by the binomial v_i + c v_j."""
+    out = {e[:i] + (e[i] + 1,) + e[i + 1:]: v for e, v in terms.items()}
+    if c == -1:
+        _sub_into(out, {e[:j] + (e[j] + 1,) + e[j + 1:]: v for e, v in terms.items()})
+    else:
+        _add_into(out, {e[:j] + (e[j] + 1,) + e[j + 1:]: v * c for e, v in terms.items()})
+    return out
+
+
+def _div_difference(terms, i, j):
+    """Divide by v_i - v_j, for i < j.
+
+    The terms that agree outside (i, j) and in s = e_i + e_j form a line.
+    With f_k the coefficient of v_i^{s-k} v_j^k on a line, the quotient
+    coefficient of v_i^{s-1-k} v_j^k is the running sum f_0 + ... + f_k, and
+    the full sum f_0 + ... + f_s is the remainder at v_j^s: f with v_i = v_j
+    substituted.  Returns (quotient, remainder), the remainder None when it
+    is zero.
+    """
+    lines = {}
+    for e, c in terms.items():
+        s = e[i] + e[j]
+        key = e[:i] + (0,) + e[i + 1:j] + (s,) + e[j + 1:]
+        line = lines.get(key)
+        if line is None:
+            line = lines[key] = [None] * (s + 1)
+        line[e[j]] = c
+    quo, rem = {}, {}
+    for key, line in lines.items():
+        s = len(line) - 1
+        ne = list(key)
+        g = None
+        for k, f in enumerate(line):
+            if g is not None:
+                f = g if f is None else f + g
+            if f is not None:
+                if f.is_zero():
+                    f = None
+                elif k == s:
+                    rem[key] = f
+                else:
+                    ne[i], ne[j] = s - 1 - k, k
+                    quo[tuple(ne)] = f
+            g = f
+    return quo, (rem or None)
 
 
 class MultiPoly:
@@ -124,15 +232,6 @@ class MultiPoly:
         e[i] = power
         return cls._raw(space, {tuple(e): S_ONE})
 
-    @classmethod
-    def binomial(cls, space, i, j, cj):
-        """The binomial v_i + cj * v_j."""
-        e1 = [0] * space.dim
-        e1[i] = 1
-        e2 = [0] * space.dim
-        e2[j] = 1
-        return cls._raw(space, {tuple(e1): S_ONE, tuple(e2): _coerce(cj)})
-
     # -- basic ring operations ------------------------------------------------
 
     def _check_space(self, other):
@@ -160,16 +259,7 @@ class MultiPoly:
             other = MultiPoly.constant(self.space, other)
         self._check_space(other)
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = c
-            else:
-                s = s + c
-                if s.is_zero():
-                    del out[e]
-                else:
-                    out[e] = s
+        _add_into(out, other.terms)
         return MultiPoly._raw(self.space, out)
 
     __radd__ = __add__
@@ -177,7 +267,10 @@ class MultiPoly:
     def __sub__(self, other):
         if isinstance(other, (int, QTScalar)):
             other = MultiPoly.constant(self.space, other)
-        return self + (-other)
+        self._check_space(other)
+        out = dict(self.terms)
+        _sub_into(out, other.terms)
+        return MultiPoly._raw(self.space, out)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -191,19 +284,8 @@ class MultiPoly:
             a, b = b, a
         out = {}
         for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(e)
-                if s is None:
-                    if not c.is_zero():
-                        out[e] = c
-                else:
-                    s = s + c
-                    if s.is_zero():
-                        del out[e]
-                    else:
-                        out[e] = s
+            _add_into(out, {tuple(x + y for x, y in zip(e1, e2)): c1 * c2
+                            for e2, c2 in b.items()})
         return MultiPoly._raw(self.space, out)
 
     __rmul__ = __mul__
@@ -212,7 +294,7 @@ class MultiPoly:
         c = _coerce(c)
         if c.is_zero():
             return MultiPoly.zero(self.space)
-        return MultiPoly._raw(self.space, {e: v * c for e, v in self.terms.items()})
+        return MultiPoly._raw(self.space, _scale(self.terms, c))
 
     def __pow__(self, k):
         if k < 0:
@@ -244,9 +326,6 @@ class MultiPoly:
         if order == "lex":
             return max(self.terms)
         raise ValueError(f"unknown order {order!r}")
-
-    def coefficient(self, e):
-        return self.terms.get(tuple(e), S_ZERO)
 
     def constant_term(self):
         return self.terms.get((0,) * self.space.dim, S_ZERO)
@@ -297,20 +376,10 @@ class MultiPoly:
 
     def shift_variable(self, i, factor):
         """Scale one variable: terms with v_i^k are multiplied by factor^k."""
-        factor = _coerce(factor)
-        out = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            out[e] = c * factor ** k if k else c
-        return MultiPoly._raw(self.space, out)
+        return MultiPoly._raw(self.space, _shift(self.terms, i, _coerce(factor)))
 
     def swap_variables(self, i, j):
-        out = {}
-        for e, c in self.terms.items():
-            ne = list(e)
-            ne[i], ne[j] = ne[j], ne[i]
-            out[tuple(ne)] = c
-        return MultiPoly._raw(self.space, out)
+        return MultiPoly._raw(self.space, _transpose(self.terms, i, j))
 
     def swap_parameters(self):
         """Exchange the roles of q and t in every coefficient."""
@@ -335,6 +404,8 @@ class MultiPoly:
     # -- symmetry -------------------------------------------------------------
 
     def _block(self, block):
+        if not isinstance(block, str):
+            return list(block)
         if block == "all":
             if self.space.kind != "z":
                 raise ValueError("'all' symmetry applies to z-spaces")
@@ -348,61 +419,13 @@ class MultiPoly:
         raise ValueError(f"unknown block {block!r}")
 
     def is_symmetric(self, block="all"):
-        """Invariance under all adjacent transpositions of the block."""
+        """Invariance under all adjacent transpositions of the block: "all",
+        "x", "y", or a list of variable indices."""
         idx = self._block(block)
         for a, b in zip(idx, idx[1:]):
             if self.swap_variables(a, b) != self:
                 return False
         return True
-
-    # -- exact division ---------------------------------------------------------
-
-    def exact_divide(self, divisor):
-        """Quotient self / divisor when exact.
-
-        Raises NonDivisibleError carrying the nonzero remainder otherwise.
-        Uses graded-lex long division by the single divisor.
-        """
-        self._check_space(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        glead = divisor.leading_exponent("grlex")
-        gc = divisor.terms[glead]
-        gtail = [(e, c) for e, c in divisor.terms.items() if e != glead]
-        rem_out = {}
-        quo = {}
-        work = dict(self.terms)
-        heap = [_grlex_heapkey(e) for e in work]
-        heapq.heapify(heap)
-        seen = set(work)
-        while heap:
-            key = heapq.heappop(heap)
-            e = tuple(-x for x in key[1])
-            c = work.pop(e, None)
-            if c is None:
-                continue
-            if all(x >= y for x, y in zip(e, glead)):
-                qe = tuple(x - y for x, y in zip(e, glead))
-                qc = c / gc
-                prev = quo.get(qe)
-                quo[qe] = qc if prev is None else prev + qc
-                for te, tc in gtail:
-                    ke = tuple(x + y for x, y in zip(qe, te))
-                    s = work.get(ke, S_ZERO) - qc * tc
-                    if s.is_zero():
-                        work.pop(ke, None)
-                    else:
-                        if ke not in work:
-                            heapq.heappush(heap, _grlex_heapkey(ke))
-                        work[ke] = s
-            else:
-                rem_out[e] = c
-        if rem_out:
-            raise NonDivisibleError(
-                "polynomial division left a remainder",
-                remainder=MultiPoly._raw(self.space, rem_out))
-        return MultiPoly._raw(self.space,
-                              {e: c for e, c in quo.items() if not c.is_zero()})
 
     # -- display ----------------------------------------------------------------
 
@@ -463,15 +486,3 @@ def linear_combination(space, pairs):
         if not val.is_zero():
             terms[e] = val
     return MultiPoly._raw(space, terms)
-
-
-def poly_arith(f, g, op):
-    """Ring arithmetic dispatch: op in {'add', 'sub', 'mul'}."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    raise ValueError(f"unknown operation {op!r}")
-

@@ -145,17 +145,6 @@ class QTPolynomial:
             k >>= 1
         return result
 
-    def lex_leading(self):
-        """Leading (exponent, coefficient) for lexicographic order, q before t."""
-        e = max(self.terms)
-        return e, self.terms[e]
-
-    def degree_q(self):
-        return max((e[0] for e in self.terms), default=-1)
-
-    def degree_t(self):
-        return max((e[1] for e in self.terms), default=-1)
-
     def evaluate(self, q0, t0):
         q0, t0 = Fraction(q0), Fraction(t0)
         total = Fraction(0)
@@ -657,21 +646,6 @@ def one_minus_t(r=1):
 def qt_ratio(r):
     """The scalar (1 - q^r) / (1 - t^r)."""
     return one_minus_q(r) / one_minus_t(r)
-
-
-def qt_arith(a, b, op):
-    """Field arithmetic dispatch: op in {'add', 'sub', 'mul', 'div'}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b.is_zero():
-            raise ScalarDivisionError("division by zero scalar")
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def qt_eval(s, q0, t0):

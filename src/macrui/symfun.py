@@ -50,9 +50,6 @@ class SymExpansion:
     def get(self, lam):
         return self.coeffs.get(tuple(lam), S_ZERO)
 
-    def support(self):
-        return sorted(self.coeffs, reverse=True)
-
     def degrees(self):
         return sorted({sum(lam) for lam in self.coeffs})
 

@@ -260,3 +260,28 @@ def test_closed_stdout_exits_quietly():
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 1
     assert err == b""
+
+
+def test_python_m_macrui_runs_the_cli():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "macrui", "eigenvalue", "--lambda", "1"],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    assert "result" in json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("argv", [
+    ["macdonald", "--lambda", "1", "--N", "1200"],
+    ["verify", "--suite", "eigen", "--max-weight", "100000000"],
+])
+def test_oversized_variable_count_is_refused(argv, capsys):
+    code, out = run_cli(argv)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "ValueError"
+    assert "at most 64 variables" in error["message"]
+    assert "Traceback" not in capsys.readouterr().err

@@ -8,15 +8,15 @@ import pytest
 from macrui import partitions as pt
 from macrui.errors import NonDivisibleError, NotSymmetricError
 from macrui.macdonald import macdonald_polynomial
-from macrui.operators import (_z_div_binomial, _z_mul_binomial, _z_sub,
-                              apply_deformed_mr, apply_deformed_mr_detailed,
+from macrui.operators import (apply_deformed_mr, apply_deformed_mr_detailed,
                               apply_mr, apply_mr_detailed, cherednik_dunkl,
                               coefficient_sum_identity, cycle_shift, hecke_T,
                               hecke_T_inv, mr_eigenvalue,
                               operator_from_shifted_symmetric)
-from macrui.polyring import MultiPoly, VarSpace
-from macrui.scalar import (P_Q, P_T, QTPolynomial, QTScalar, S_ONE, S_Q, S_T,
-                           one_minus_q, qt_ratio)
+from macrui.polyring import (MultiPoly, VarSpace, _div_difference,
+                             _mul_binomial, _sub_into)
+from macrui.scalar import (P_ONE, P_Q, P_T, QTPolynomial, QTScalar, S_ONE, S_Q,
+                           S_T, one_minus_q, qt_ratio)
 from macrui.symfun import (in_deformed_algebra, monomial_symmetric,
                            restrict_p_expansion, shifted_power_sum,
                            to_monomial_expansion)
@@ -41,6 +41,13 @@ def test_apply_mr_rejects_asymmetric_input():
         apply_mr(MultiPoly.variable(sp, 0))
 
 
+def test_apply_mr_block_order_is_irrelevant():
+    # the division by v_a - v_b needs a < b; an unsorted block is sorted
+    f = monomial_symmetric((2, 1), 3)
+    assert apply_mr(f, block=[2, 1, 0]) == apply_mr(f)
+    assert apply_mr(f, block=[2, 0]) == apply_mr(f, block=[0, 2])
+
+
 def test_mr_eigenvalue_examples():
     assert mr_eigenvalue((1,)) == QTScalar.from_int(-1)
     assert mr_eigenvalue((2,)) == -(1 + S_Q)
@@ -57,8 +64,7 @@ def test_deformed_mr_examples():
     with pytest.raises(NonDivisibleError) as err:
         apply_deformed_mr(x + y)
     assert err.value.remainder is not None
-    with pytest.raises(NotSymmetricError):
-        apply_deformed_mr(x + y, check=True)
+    assert not in_deformed_algebra(x + y)
 
 
 def test_deformed_mr_empty_blocks_match_one_block_operator():
@@ -213,9 +219,9 @@ def test_eigen_relation_at_minimal_variable_count():
             assert apply_mr(P) == P.scale(mr_eigenvalue(lam))
 
 
-def _heap_div_binomial(zt, i, j, cpoly):
-    """Reference division by v_i + cpoly * v_j (i < j): the leading term
-    v_i is cancelled in graded-lex order, one term at a time from a heap."""
+def _heap_div_binomial(zt, i, j):
+    """Reference division by v_i - v_j (i < j): the leading term v_i is
+    cancelled in graded-lex order, one term at a time from a heap."""
     work = dict(zt)
     quo = {}
     rem = {}
@@ -237,14 +243,12 @@ def _heap_div_binomial(zt, i, j, cpoly):
         quo[qe] = c if prev is None else prev + c
         ne[j] += 1
         ke = tuple(ne)
-        delta = c * cpoly
         s = work.get(ke)
         if s is None:
-            if not delta.is_zero():
-                work[ke] = -delta
-                heapq.heappush(heap, (-sum(ke), tuple(-x for x in ke)))
+            work[ke] = c
+            heapq.heappush(heap, (-sum(ke), tuple(-x for x in ke)))
         else:
-            s = s - delta
+            s = s + c
             if s.is_zero():
                 del work[ke]
             else:
@@ -254,12 +258,19 @@ def _heap_div_binomial(zt, i, j, cpoly):
     return quo, (rem or None)
 
 
-def _random_terms(rng, nvars, nterms, max_deg=3):
+_DENOMINATORS = (P_ONE, P_ONE - P_Q, P_ONE + P_T, P_Q * P_T)
+
+
+def _random_terms(rng, nvars, nterms, scalars, max_deg=3):
+    """Random terms with Z[q, t] coefficients, or with QTScalar coefficients
+    over a random denominator when ``scalars``."""
     out = {}
     for _ in range(nterms):
         e = tuple(rng.randint(0, max_deg) for _ in range(nvars))
         c = QTPolynomial({(rng.randint(0, 2), rng.randint(0, 2)): rng.choice([-3, -1, 1, 2]),
                           (rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-2, 2)})
+        if scalars:
+            c = QTScalar(c, rng.choice(_DENOMINATORS))
         if not c.is_zero():
             out[e] = c
     return out
@@ -267,24 +278,25 @@ def _random_terms(rng, nvars, nterms, max_deg=3):
 
 def test_line_division_matches_heap_division():
     rng = random.Random(6)
-    m_one = QTPolynomial.from_int(-1)
     remainders = 0
-    for nvars in (3, 4):
-        # every pair i < j: adjacent and non-adjacent
-        for (i, j) in [(a, b) for a in range(nvars) for b in range(a + 1, nvars)]:
-            for cpoly in (m_one, -P_Q, -P_T):
-                for _ in range(4):
-                    g = _random_terms(rng, nvars, 6)
-                    multiple = _z_mul_binomial(g, i, j, cpoly)
-                    quo, rem = _z_div_binomial(multiple, i, j, cpoly)
+    for scalars in (False, True):
+        for nvars in (3, 4):
+            # every pair i < j: adjacent and non-adjacent
+            for (i, j) in [(a, b) for a in range(nvars) for b in range(a + 1, nvars)]:
+                for _ in range(8):
+                    g = _random_terms(rng, nvars, 6, scalars)
+                    multiple = _mul_binomial(g, i, j, -1)
+                    quo, rem = _div_difference(multiple, i, j)
                     assert rem is None and quo == g
-                    assert (quo, rem) == _heap_div_binomial(multiple, i, j, cpoly)
-                    other = _random_terms(rng, nvars, 5)
-                    for f in (other, _z_mul_binomial(other, i, j, cpoly) | g):
-                        quo, rem = _z_div_binomial(f, i, j, cpoly)
-                        assert (quo, rem) == _heap_div_binomial(f, i, j, cpoly)
-                        # f = (v_i + cpoly v_j) quo + rem, with rem free of v_i
-                        assert _z_sub(f, _z_mul_binomial(quo, i, j, cpoly)) == (rem or {})
+                    assert (quo, rem) == _heap_div_binomial(multiple, i, j)
+                    other = _random_terms(rng, nvars, 5, scalars)
+                    for f in (other, _mul_binomial(other, i, j, -1) | g):
+                        quo, rem = _div_difference(f, i, j)
+                        assert (quo, rem) == _heap_div_binomial(f, i, j)
+                        # f = (v_i - v_j) quo + rem, with rem free of v_i
+                        check = dict(f)
+                        _sub_into(check, _mul_binomial(quo, i, j, -1))
+                        assert check == (rem or {})
                         assert all(e[i] == 0 for e in rem or ())
                         remainders += rem is not None
     assert remainders > 0
