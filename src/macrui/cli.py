@@ -23,7 +23,7 @@ from .shifted import (evaluate_at_partition, fat_hook_point,
                       interpolation_polynomial, interpolation_tableau_sum,
                       shifted_super_macdonald, shifted_super_tableau_sum)
 from .symfun import monomial_symmetric
-from .verify import SUITES, run_suite
+from .verify import SUITES, _WEIGHT_CEILINGS, run_suite
 
 
 def parse_partition(text):
@@ -170,7 +170,10 @@ def build_parser():
 
     p = verb("verify", help="run a named verification suite")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
-    p.add_argument("--max-weight", type=int, default=4)
+    p.add_argument("--max-weight", type=int, default=4,
+                   help="weight bound; a weight above the suite's ceiling is "
+                        "refused (" + ", ".join(f"{k} {v}" for k, v in
+                                               sorted(_WEIGHT_CEILINGS.items())) + ")")
     return ap
 
 

@@ -2,13 +2,17 @@
 its two-alphabet deformation, and the Hecke / commuting-difference-operator
 calculus that generates higher integrals.
 
-Operator applications never form rational functions in the main variables:
-each sum is assembled over the fully cleared denominator, a product of
-hyperplane binomials v_a - v_b, and divided out exactly once at the end,
-one binomial at a time.  The engine runs polyring's term-dict routines on
-Z[q, t] numerators: scalar denominators of the input are cleared first and
-restored at the end.  The Hecke generators use the same routines on QTScalar
-coefficients, dividing s_i f - f by v_i - v_{i+1}.
+Operator applications never form rational functions in the main variables.
+A block sum sum_i A_i (T_i - 1) f is a chain of divided differences over
+consecutive block variables (Lagrange interpolation in divided-difference
+form), each step an exact division by one binomial v_a - v_b.  In the
+deformed operator the cross pairs x_a - y_b stay in the denominator: the
+sum is assembled over their product and divided by it at the end, one
+binomial at a time, where an input outside the operator domain leaves a
+remainder.  The engine runs polyring's term-dict routines on Z[q, t]
+numerators: scalar denominators of the input are cleared first and restored
+at the end.  The Hecke generators take the same divided difference on
+QTScalar coefficients.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ from collections import namedtuple
 
 from .errors import NonDivisibleError, NotSymmetricError
 from . import partitions as pt
-from .polyring import (MultiPoly, VarSpace, _add_into, _div_difference,
-                       _mul_binomial, _scale, _shift, _sub_into, _transpose)
+from .polyring import (MultiPoly, VarSpace, _div_difference,
+                       _divided_difference, _mul_binomial, _scale, _shift,
+                       _sub_into)
 from .scalar import (P_ONE, P_Q, P_T, QTPolynomial, QTScalar, S_ONE, S_Q,
                      S_T, over_common_denominator, over_irreducible)
 
@@ -67,12 +72,16 @@ def _shift_difference(zt, i, factor):
     return out
 
 
+def _pair_name(space, a, b):
+    return f"{space.var_name(a)}-{space.var_name(b)}"
+
+
 def _divide_factors(space, total, pairs, den0, irreducibles):
     """Divide ``total`` by v_a - v_b for every pair; collect witnesses."""
     witnesses = []
     for (a, b) in pairs:
         total, rem = _div_difference(total, a, b)
-        name = f"{space.var_name(a)}-{space.var_name(b)}"
+        name = _pair_name(space, a, b)
         if rem is not None:
             raise NonDivisibleError(
                 f"operator sum not divisible by {name}; input outside the operator domain",
@@ -85,51 +94,53 @@ def _pairs(indices):
     return [(a, b) for ai, a in enumerate(indices) for b in indices[ai + 1:]]
 
 
-def _antisymmetrized(start, block, row, pairs):
-    """The block sum of an operator numerator over the Vandermonde product.
+def _antisymmetrized(start, block, row, pairs=()):
+    """The block sum of an operator numerator, its Vandermonde divided out.
 
-    With i0 = block[0], multiplies ``start`` by the distinguished row
-    prod_{(k, c) in row} (v_i0 + c v_k) and by every pair (v_a - v_b) of
-    ``pairs`` that does not involve i0, then antisymmetrizes over the block:
-    the terms for the other i in the block are the transpositions (i0 i),
-    which flip the sign of the Vandermonde product (Macdonald, Symmetric
-    Functions and Hall Polynomials, VI.3).
+    With i0 = block[0], h is ``start`` times the distinguished row
+    prod_{(k, c) in row} (v_i0 + c v_k) times every pair (v_a - v_b) of
+    ``pairs`` that does not involve i0.  For h symmetric in block[1:],
+    sum_i s_{i0 i}(h) / prod_{k != i} (v_i - v_k), over i and k in the block,
+    is the chain d_{r-1} ... d_1 h of divided differences
+    d_j f = (f - s_j f)/(v_{b_j} - v_{b_{j+1}}) over consecutive block
+    variables: Lagrange interpolation in divided-difference form (Macdonald,
+    Symmetric Functions and Hall Polynomials, VI.3; Lascoux, Symmetric
+    Functions and Combinatorial Operators on Polynomials, ch. 7).  Every
+    step is exact.
     """
     i0 = block[0]
-    g = start
+    h = start
     for k, cpoly in row:
-        g = _mul_binomial(g, i0, k, cpoly)
+        h = _mul_binomial(h, i0, k, cpoly)
     for (a, b) in pairs:
         if a != i0 and b != i0:
-            g = _mul_binomial(g, a, b, -1)
-    total = dict(g)
-    for i in block[1:]:
-        _sub_into(total, _transpose(g, i0, i))
-    return total
+            h = _mul_binomial(h, a, b, -1)
+    for a, b in zip(block, block[1:]):
+        h = _divided_difference(h, a, b)
+    return h
 
 
 def _deformed_sum(space, start):
-    """(1-t) sum_i A_i D start(x_i) + (1-q) sum_j B_j D start(y_j), where D is
-    the Vandermonde product over all n + m variables and ``start(i, factor)``
-    is the term dict acted on at the distinguished variable i, shifted by
-    q at an x variable and by t at a y variable.  Returns the sum and the
-    pairs of D."""
+    """(1-t) sum_i A_i C start(x_i) + (1-q) sum_j B_j C start(y_j), where C is
+    the product of the cross pairs x_a - y_b and ``start(i, factor)`` is the
+    term dict acted on at the distinguished variable i, shifted by q at an x
+    variable and by t at a y variable.  Returns the sum and the cross pairs."""
     n, m = space.n, space.m
     xs, ys = list(space.x_indices()), list(space.y_indices())
-    pairs = _pairs(xs) + _pairs(ys) + [(a, b) for a in xs for b in ys]
+    cross = [(a, b) for a in xs for b in ys]
     total = {}
     if n:
         row = [(k, _M_T) for k in xs[1:]] + [(j, _M_Q) for j in ys]
-        total = _scale(_antisymmetrized(start(xs[0], P_Q), xs, row, pairs),
+        total = _scale(_antisymmetrized(start(xs[0], P_Q), xs, row, cross),
                        P_ONE - P_T)
     if m:
-        # the n cross pairs (x_a - y_j0) of D read as (y_j0 - x_a) in the
+        # the n cross pairs (x_a - y_j0) of C read as (y_j0 - x_a) in the
         # row of y_j0, a sign (-1)^n; the subtraction below adds the y half
         row = [(i, _M_T) for i in xs] + [(l, _M_Q) for l in ys[1:]]
         sign = P_Q - P_ONE if n % 2 == 0 else P_ONE - P_Q
         _sub_into(total, _scale(
-            _antisymmetrized(start(ys[0], P_T), ys, row, pairs), sign))
-    return total, pairs
+            _antisymmetrized(start(ys[0], P_T), ys, row, cross), sign))
+    return total, cross
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +165,11 @@ def apply_mr_detailed(f, block=None):
     if not block or f.is_zero():
         return OperatorResult(MultiPoly.zero(space), [])
     zt, den0 = _clear_denominators(f)
-    i0 = block[0]
-    pairs = _pairs(block)
-    total = _antisymmetrized(_shift_difference(zt, i0, P_Q), block,
-                             [(k, _M_T) for k in block[1:]], pairs)
-    irreducibles = (_ONE_MINUS_Q,)
-    total, witnesses = _divide_factors(space, total, pairs, den0, irreducibles)
-    return OperatorResult(_z_to_poly(space, total, den0, irreducibles), witnesses)
+    total = _antisymmetrized(_shift_difference(zt, block[0], P_Q), block,
+                             [(k, _M_T) for k in block[1:]])
+    witnesses = [_pair_name(space, a, b) for a, b in _pairs(block)]
+    return OperatorResult(_z_to_poly(space, total, den0, (_ONE_MINUS_Q,)),
+                          witnesses)
 
 
 def apply_mr(f, block=None):
@@ -196,11 +205,14 @@ def apply_deformed_mr_detailed(f):
     if f.is_zero():
         return OperatorResult(MultiPoly.zero(space), [])
     zt, den0 = _clear_denominators(f)
-    total, pairs = _deformed_sum(
+    total, cross = _deformed_sum(
         space, lambda i, factor: _shift_difference(zt, i, factor))
+    witnesses = [_pair_name(space, a, b) for a, b in
+                 _pairs(space.x_indices()) + _pairs(space.y_indices())]
     irreducibles = (_ONE_MINUS_Q, _ONE_MINUS_T)
-    total, witnesses = _divide_factors(space, total, pairs, den0, irreducibles)
-    return OperatorResult(_z_to_poly(space, total, den0, irreducibles), witnesses)
+    total, divided = _divide_factors(space, total, cross, den0, irreducibles)
+    return OperatorResult(_z_to_poly(space, total, den0, irreducibles),
+                          witnesses + divided)
 
 
 def apply_deformed_mr(f):
@@ -221,11 +233,8 @@ def hecke_T(f, i):
     a, b = i - 1, i
     if not (1 <= i <= space.dim - 1):
         raise ValueError(f"T_{i} needs 1 <= i <= {space.dim - 1}")
-    diff = _transpose(f.terms, a, b)
-    _sub_into(diff, f.terms)
-    quo, _ = _div_difference(diff, a, b)
     out = dict(f.terms)
-    _add_into(out, _mul_binomial(quo, a, b, -S_T))
+    _sub_into(out, _mul_binomial(_divided_difference(f.terms, a, b), a, b, -S_T))
     return MultiPoly._raw(space, out)
 
 
@@ -297,21 +306,20 @@ def coefficient_sum_identity(n, m):
     analogue sum_l C_l = (t^N - 1)/(t - 1) at N = n + m."""
     if n + m < 1:
         raise ValueError("need at least one variable")
-    one = {(0,) * (n + m): P_ONE}
-    total, pairs = _deformed_sum(VarSpace.xy(n, m), lambda i, factor: one)
-    denom = one
-    for (a, b) in pairs:
-        denom = _mul_binomial(denom, a, b, -1)
-    # identity times (1-t)*D: rhs is (1 - t^n q^m) * D
-    _sub_into(total, _scale(denom, P_ONE - QTPolynomial.monomial(m, n)))
+    N = n + m
+    one = {(0,) * N: P_ONE}
+    total, cross = _deformed_sum(VarSpace.xy(n, m), lambda i, factor: one)
+    # identity times (1-t)*C: rhs is (1 - t^n q^m) * C
+    cprod = one
+    for (a, b) in cross:
+        cprod = _mul_binomial(cprod, a, b, -1)
+    _sub_into(total, _scale(cprod, P_ONE - QTPolynomial.monomial(m, n)))
     if total:
         return False
 
-    # the one-block sum at N = n + m over the same D:
-    # (t - 1) * sum_l C_l * D == (t^N - 1) * D
-    N = n + m
+    # the one-block sum at N = n + m: (t - 1) * sum_l C_l == t^N - 1
     block = list(range(N))
-    sw = _antisymmetrized(one, block, [(k, _M_T) for k in block[1:]], pairs)
-    lhs = _scale(sw, P_T - P_ONE)
-    _sub_into(lhs, _scale(denom, QTPolynomial.monomial(0, N) - P_ONE))
+    lhs = _scale(_antisymmetrized(one, block, [(k, _M_T) for k in block[1:]]),
+                 P_T - P_ONE)
+    _sub_into(lhs, {(0,) * N: QTPolynomial.monomial(0, N) - P_ONE})
     return not lhs

@@ -7,9 +7,10 @@ nonnegative; Laurent monomials are not supported, so operator applications
 clear denominators and divide exactly at the end.
 
 The term-dict routines below (add and subtract into, scale, shift,
-transpose, multiply by v_i + c v_j, divide by v_i - v_j) work over any
-coefficient ring: ``MultiPoly`` runs them on QTScalar coefficients and the
-operator engine on Z[q, t] numerators.  Division by v_i - v_j is the only
+transpose, multiply by v_i + c v_j, divide by v_i - v_j, and the divided
+difference (f - s_ij f)/(v_i - v_j)) work over any coefficient ring:
+``MultiPoly`` runs them on QTScalar coefficients and the operator engine on
+Z[q, t] numerators.  Division by v_i - v_j is the only
 polynomial division in the library: every operator denominator is a product
 of such hyperplane binomials.
 
@@ -146,16 +147,11 @@ def _mul_binomial(terms, i, j, c):
     return out
 
 
-def _div_difference(terms, i, j):
-    """Divide by v_i - v_j, for i < j.
-
-    The terms that agree outside (i, j) and in s = e_i + e_j form a line.
-    With f_k the coefficient of v_i^{s-k} v_j^k on a line, the quotient
-    coefficient of v_i^{s-1-k} v_j^k is the running sum f_0 + ... + f_k, and
-    the full sum f_0 + ... + f_s is the remainder at v_j^s: f with v_i = v_j
-    substituted.  Returns (quotient, remainder), the remainder None when it
-    is zero.
-    """
+def _lines(terms, i, j):
+    """Group the terms into lines, for i < j: the terms that agree outside
+    (i, j) and in s = e_i + e_j.  Maps the exponent with e_i = 0, e_j = s to
+    the list of the s + 1 coefficients f_k of v_i^{s-k} v_j^k (None if
+    absent)."""
     lines = {}
     for e, c in terms.items():
         s = e[i] + e[j]
@@ -164,8 +160,20 @@ def _div_difference(terms, i, j):
         if line is None:
             line = lines[key] = [None] * (s + 1)
         line[e[j]] = c
+    return lines
+
+
+def _div_difference(terms, i, j):
+    """Divide by v_i - v_j, for i < j.
+
+    With f_k the coefficient of v_i^{s-k} v_j^k on a line, the quotient
+    coefficient of v_i^{s-1-k} v_j^k is the running sum f_0 + ... + f_k, and
+    the full sum f_0 + ... + f_s is the remainder at v_j^s: f with v_i = v_j
+    substituted.  Returns (quotient, remainder), the remainder None when it
+    is zero.
+    """
     quo, rem = {}, {}
-    for key, line in lines.items():
+    for key, line in _lines(terms, i, j).items():
         s = len(line) - 1
         ne = list(key)
         g = None
@@ -182,6 +190,38 @@ def _div_difference(terms, i, j):
                     quo[tuple(ne)] = f
             g = f
     return quo, (rem or None)
+
+
+def _divided_difference(terms, i, j):
+    """(f - s_ij f)/(v_i - v_j), for i < j, where s_ij exchanges v_i and v_j.
+
+    Always a polynomial, and symmetric in v_i and v_j.  With f_k the
+    coefficient of v_i^{s-k} v_j^k on a line, the quotient coefficient of
+    v_i^{s-1-k} v_j^k is the running sum of f_l - f_{s-l} over l <= k.  It
+    is unchanged by k -> s-1-k, so only the first half of each line is
+    summed.
+    """
+    quo = {}
+    for key, line in _lines(terms, i, j).items():
+        s = len(line) - 1
+        ne = list(key)
+        g = None
+        for k in range((s + 1) // 2):
+            a, b = line[k], line[s - k]
+            if a is not None:
+                g = a if g is None else g + a
+            if b is not None:
+                g = -b if g is None else g - b
+            if g is None:
+                continue
+            if g.is_zero():
+                g = None
+                continue
+            ne[i], ne[j] = s - 1 - k, k
+            quo[tuple(ne)] = g
+            ne[i], ne[j] = k, s - 1 - k
+            quo[tuple(ne)] = g
+    return quo
 
 
 class MultiPoly:

@@ -359,17 +359,40 @@ SUITES = {
 }
 
 
+# The largest max_weight each suite accepts: the largest weight whose cold
+# run (`python -m macrui verify`) finished within about 60 s on a 2-vCPU
+# host, Python 3.11.  cherednik and identities cap every family of their
+# own (degree 3 and weight 6), so their work stops growing and they take the
+# 64-variable cap of VarSpace.
+_WEIGHT_CEILINGS = {
+    "eigen": 7,             # 45 s; weight 8 still running after 60 s
+    "commdia": 7,           # 36 s; weight 8 over 100 s
+    "kernel": 8,            # 25 s; weight 9 over 100 s
+    "duality": 5,           # 15 s; weight 6 over 100 s
+    "vanishing": 5,         # 12 s; weight 6 over 100 s
+    "combinatorial": 8,     # 27 s; weight 9 takes 75 s
+    "cherednik": 64,        # 0.3 s at every weight
+    "identities": 64,       # 0.4 s at every weight
+}
+
+
 def run_suite(name, max_weight):
     """Run one named suite; returns a deterministic report dictionary.
 
     ``bounds`` maps each check family with a bound of its own (a cap on
     the weight, a variable count N, a degree) to the bound it used.  A run
-    that checked nothing is not ok.
+    that checked nothing is not ok.  A weight above the suite's ceiling in
+    ``_WEIGHT_CEILINGS`` is refused before anything is computed.
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if max_weight < 0:
         raise MacruiError(f"max_weight must be nonnegative, got {max_weight}")
+    ceiling = _WEIGHT_CEILINGS[name]
+    if max_weight > ceiling:
+        raise MacruiError(f"max_weight {max_weight} is above the {name} suite's "
+                          f"ceiling {ceiling}, the largest weight that finishes "
+                          f"in about a minute")
     bounds = {}
     checks = SUITES[name](max_weight, bounds)
     failed = sum(1 for c in checks if not c["passed"])

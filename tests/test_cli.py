@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -12,11 +13,12 @@ import pytest
 
 from macrui import jsonio
 from macrui.cli import main, parse_partition
+from macrui.errors import MacruiError
 from macrui.macdonald import macdonald_polynomial, super_macdonald
 from macrui.polyring import MultiPoly, VarSpace
 from macrui.scalar import S_ONE, S_Q, S_T, qt_ratio
 from macrui.symfun import SymExpansion
-from macrui.verify import run_suite
+from macrui.verify import SUITES, _WEIGHT_CEILINGS, run_suite
 
 
 def run_cli(argv):
@@ -248,6 +250,43 @@ def test_verify_reports_lowered_bounds():
     assert "bound: Hecke quadratic degree<=1" in out
 
 
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_verify_weight_above_ceiling_is_refused(suite, capsys):
+    ceiling = _WEIGHT_CEILINGS[suite]
+    for weight in sorted({ceiling + 1, 30, 100000000}):
+        if weight <= ceiling:
+            continue
+        start = time.perf_counter()
+        code, out = run_cli(["verify", "--suite", suite, "--max-weight", str(weight)])
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["kind"] == "MacruiError"
+        assert f"ceiling {ceiling}" in error["message"]
+        assert "Traceback" not in capsys.readouterr().err
+    with pytest.raises(MacruiError):
+        run_suite(suite, ceiling + 1)
+
+
+def test_verify_ceilings_are_listed_in_help(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    for suite, ceiling in _WEIGHT_CEILINGS.items():
+        assert f"{suite} {ceiling}" in out
+
+
+def test_verify_weight_three_totals_are_pinned():
+    # recorded before the weight ceilings were introduced
+    totals = {"eigen": 34, "commdia": 24, "kernel": 22, "duality": 49,
+              "vanishing": 32, "combinatorial": 55, "cherednik": 17,
+              "identities": 32}
+    assert set(totals) == set(SUITES)
+    for suite, total in totals.items():
+        report = run_suite(suite, 3)
+        assert report["ok"] and report["total"] == report["passed"] == total
+
+
 def test_closed_stdout_exits_quietly():
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
@@ -276,7 +315,9 @@ def test_python_m_macrui_runs_the_cli():
 
 @pytest.mark.parametrize("argv", [
     ["macdonald", "--lambda", "1", "--N", "1200"],
-    ["verify", "--suite", "eigen", "--max-weight", "100000000"],
+    # a verify weight this large is refused by the suite's weight ceiling
+    # first: see test_verify_weight_above_ceiling_is_refused
+    ["super", "--lambda", "1", "--n", "40", "--m", "40"],
 ])
 def test_oversized_variable_count_is_refused(argv, capsys):
     code, out = run_cli(argv)

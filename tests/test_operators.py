@@ -14,7 +14,8 @@ from macrui.operators import (apply_deformed_mr, apply_deformed_mr_detailed,
                               hecke_T_inv, mr_eigenvalue,
                               operator_from_shifted_symmetric)
 from macrui.polyring import (MultiPoly, VarSpace, _div_difference,
-                             _mul_binomial, _sub_into)
+                             _divided_difference, _mul_binomial, _sub_into,
+                             _transpose)
 from macrui.scalar import (P_ONE, P_Q, P_T, QTPolynomial, QTScalar, S_ONE, S_Q,
                            S_T, one_minus_q, qt_ratio)
 from macrui.symfun import (in_deformed_algebra, monomial_symmetric,
@@ -300,3 +301,21 @@ def test_line_division_matches_heap_division():
                         assert all(e[i] == 0 for e in rem or ())
                         remainders += rem is not None
     assert remainders > 0
+
+
+def test_divided_difference_matches_transpose_and_divide():
+    rng = random.Random(10)
+    for scalars in (False, True):
+        for nvars in (2, 3, 4):
+            for (i, j) in [(a, b) for a in range(nvars) for b in range(a + 1, nvars)]:
+                for _ in range(6):
+                    f = _random_terms(rng, nvars, 7, scalars, max_deg=4)
+                    diff = dict(f)
+                    _sub_into(diff, _transpose(f, i, j))
+                    quo, rem = _div_difference(diff, i, j)
+                    assert rem is None
+                    dd = _divided_difference(f, i, j)
+                    assert dd == quo
+                    assert _transpose(dd, i, j) == dd
+                    assert _divided_difference(_transpose(f, i, j), i, j) == \
+                        {e: -c for e, c in dd.items()}
