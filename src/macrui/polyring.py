@@ -21,7 +21,7 @@ construction.
 from __future__ import annotations
 
 from .errors import SpaceMismatchError
-from .scalar import (P_ONE, P_ZERO, QTScalar, S_ONE, S_ZERO, _coerce,
+from .scalar import (P_ONE, P_ZERO, QTScalar, S_ONE, S_ZERO, _as_int, _coerce,
                      over_common_denominator)
 
 
@@ -233,7 +233,7 @@ class MultiPoly:
         clean = {}
         if terms:
             for e, c in terms.items():
-                e = tuple(int(x) for x in e)
+                e = tuple(_as_int(x, "an exponent") for x in e)
                 if len(e) != space.dim:
                     raise ValueError(f"exponent vector {e} does not fit {space!r}")
                 if any(x < 0 for x in e):

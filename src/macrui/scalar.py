@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from fractions import Fraction
 
 from .errors import ScalarDivisionError, SpecialParameterError
@@ -24,6 +25,16 @@ from .errors import ScalarDivisionError, SpecialParameterError
 # ---------------------------------------------------------------------------
 # public polynomial type
 # ---------------------------------------------------------------------------
+
+def _as_int(x, what):
+    """x as an int, for a type that is an integer (``operator.index``); a
+    float, a Fraction or any other non-integer type is refused, never
+    truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {x!r}") from None
+
 
 class QTPolynomial:
     """Sparse polynomial in q, t with arbitrary-precision integer coefficients.
@@ -38,12 +49,12 @@ class QTPolynomial:
         clean = {}
         if terms:
             for key, c in terms.items():
-                a, b = key
+                a, b = (_as_int(x, "an exponent") for x in key)
                 if a < 0 or b < 0:
                     raise ValueError("exponents must be nonnegative")
-                c = int(c)
+                c = _as_int(c, "a coefficient")
                 if c:
-                    clean[(int(a), int(b))] = c
+                    clean[(a, b)] = c
         self.terms = clean
 
     @classmethod
@@ -54,14 +65,16 @@ class QTPolynomial:
 
     @classmethod
     def from_int(cls, n):
-        n = int(n)
+        n = _as_int(n, "an integer constant")
         return cls._raw({(0, 0): n} if n else {})
 
     @classmethod
     def monomial(cls, qexp, texp, coeff=1):
+        qexp, texp = _as_int(qexp, "an exponent"), _as_int(texp, "an exponent")
         if qexp < 0 or texp < 0:
             raise ValueError("exponents must be nonnegative")
-        return cls._raw({(qexp, texp): int(coeff)} if coeff else {})
+        coeff = _as_int(coeff, "a coefficient")
+        return cls._raw({(qexp, texp): coeff} if coeff else {})
 
     def is_zero(self):
         return not self.terms
@@ -77,6 +90,11 @@ class QTPolynomial:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals the int it holds, so it hashes like that int
+        if not self.terms:
+            return 0
+        if len(self.terms) == 1 and (0, 0) in self.terms:
+            return hash(self.terms[(0, 0)])
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self):
@@ -447,6 +465,10 @@ class QTScalar:
         return self.num.terms == other.num.terms and self.den.terms == other.den.terms
 
     def __hash__(self):
+        # a polynomial value equals its numerator (and a constant its int),
+        # so it hashes like that numerator
+        if self.den.terms == P_ONE.terms:
+            return hash(self.num)
         return hash((frozenset(self.num.terms.items()),
                      frozenset(self.den.terms.items())))
 

@@ -15,8 +15,8 @@ from .errors import NotSymmetricError, SingularSystemError
 from . import partitions as pt
 from .linalg import solve_square
 from .polyring import MultiPoly, VarSpace, linear_combination
-from .scalar import (S_ONE, S_Q, S_T, S_ZERO, _coerce, one_minus_q, one_minus_t,
-                     q_pow, qt_ratio, t_pow)
+from .scalar import (QTScalar, S_ONE, S_Q, S_T, S_ZERO, _coerce, one_minus_q,
+                     one_minus_t, q_pow, qt_ratio, t_pow)
 
 
 class SymExpansion:
@@ -139,15 +139,45 @@ def from_monomial_expansion(e):
         [(c, monomial_symmetric(lam, e.N)) for lam, c in e.coeffs.items()])
 
 
+def _row_fillings(parts, rows, memo):
+    """The number of maps from ``parts`` to the rows whose row sums are
+    ``rows``: each part goes to one row with room for it.  ``rows`` is sorted
+    and holds only the rows still open; rows of equal room are distinct, so a
+    room that r rows share counts r times."""
+    if not parts:
+        return 1
+    key = (parts, rows)
+    count = memo.get(key)
+    if count is None:
+        k, rest = parts[0], parts[1:]
+        count = 0
+        for room in set(rows):
+            if room >= k:
+                left = list(rows)
+                left.remove(room)
+                if room > k:
+                    left.append(room - k)
+                count += rows.count(room) * _row_fillings(rest, tuple(sorted(left)), memo)
+        memo[key] = count
+    return count
+
+
 @cache
 def _power_in_monomial_matrix(d):
-    """For each mu of weight d, the m-expansion of p_mu, computed at N = d."""
-    if d == 0:
-        return [()], {(): {(): S_ONE}}
+    """For each mu of weight d, the m-expansion of p_mu: the coefficient of
+    m_lam is the number of maps from the parts of mu to the rows of lam
+    whose row sums are lam (Macdonald, SFHP I.6).  The counts do not depend
+    on the number of variables, and no p_mu is rendered."""
     mus = pt.partitions_of(d)
+    memo = {}
     table = {}
     for mu in mus:
-        table[mu] = to_monomial_expansion(power_sum_product(mu, d)).coeffs
+        row = {}
+        for lam in mus:
+            count = _row_fillings(mu, tuple(sorted(lam)), memo)
+            if count:
+                row[lam] = QTScalar.from_int(count)
+        table[mu] = row
     return mus, table
 
 
@@ -243,24 +273,58 @@ def _cleared_image(factor, mu, n, m):
     return s_prefix * one_minus_t(k), image * factor(k, n, m)
 
 
-def _restrict_cleared(e, factor, n, m):
-    """Image of an expansion under the restriction map whose cleared
-    generator images ``factor`` gives: the sum of (c_mu / s_mu) times the
-    cleared image of mu, over one common denominator.  Reducing c_mu / s_mu
-    before it joins that denominator keeps it small, which saves more in the
-    final reductions than the gcd costs."""
+def _is_sorted(exps):
+    return all(a >= b for a, b in zip(exps, exps[1:]))
+
+
+@cache
+def _cleared_representatives(mu, n, m):
+    """s_mu and the block-sorted terms of the cleared image of p_mu: those
+    whose x-part and y-part are each weakly decreasing.  The image is
+    symmetric in x and, separately, in y, so these terms determine it."""
+    s_mu, image = _cleared_image(_newton_factor, mu, n, m)
+    reps = {e: c for e, c in image.terms.items()
+            if _is_sorted(e[:n]) and _is_sorted(e[n:])}
+    return s_mu, MultiPoly._raw(image.space, reps)
+
+
+def _restrict_cleared(e, image, n, m):
+    """Image of an expansion under a restriction map: the sum of
+    (c_mu / s_mu) times the cleared image of mu, which ``image(mu)`` returns
+    with s_mu, over one common denominator.  Reducing c_mu / s_mu before it
+    joins that denominator keeps it small, which saves more in the final
+    reductions than the gcd costs."""
     pairs = []
     for mu, c in e.coeffs.items():
-        s_mu, image = _cleared_image(factor, mu, n, m)
-        pairs.append((c / s_mu, image))
+        s_mu, cleared = image(mu)
+        pairs.append((c / s_mu, cleared))
     return linear_combination(VarSpace.xy(n, m), pairs)
 
 
+def _render_orbits(reps):
+    """The polynomial symmetric in x and, separately, in y whose block-sorted
+    terms are ``reps``: each coefficient is copied over the distinct
+    arrangements of its x-part times those of its y-part."""
+    n, m = reps.space.n, reps.space.m
+    terms = {}
+    for e, c in reps.terms.items():
+        ys = _distinct_arrangements([k for k in e[n:] if k], m)
+        for ex in _distinct_arrangements([k for k in e[:n] if k], n):
+            for ey in ys:
+                terms[ex + ey] = c
+    return MultiPoly._raw(reps.space, terms)
+
+
 def restrict_p_expansion(e, n, m):
-    """Image of a p-expansion under p_r -> deformed Newton sum in (n, m) variables."""
+    """Image of a p-expansion under p_r -> deformed Newton sum in (n, m) variables.
+
+    The image is symmetric in x and, separately, in y, so each coefficient
+    is computed once, at the block-sorted exponent of its orbit, and then
+    copied over the orbit."""
     if e.basis != "p":
         raise ValueError("restriction acts on p-expansions")
-    return _restrict_cleared(e, _newton_factor, n, m)
+    reps = _restrict_cleared(e, lambda mu: _cleared_representatives(mu, n, m), n, m)
+    return _render_orbits(reps)
 
 
 def in_deformed_algebra(f):
@@ -366,4 +430,5 @@ def restrict_shifted_expansion(e, n, m):
              + ((1-q^r)/(1-t^r)) sum_j (y_j^r - t^{rn}) q^{r(j-1)}."""
     if e.basis != "pstar":
         raise ValueError("shifted restriction acts on p*-expansions")
-    return _restrict_cleared(e, _shifted_newton_factor, n, m)
+    return _restrict_cleared(
+        e, lambda mu: _cleared_image(_shifted_newton_factor, mu, n, m), n, m)

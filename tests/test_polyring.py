@@ -36,6 +36,13 @@ def test_variable_count_is_capped():
             make()
 
 
+def test_exponents_must_be_integers():
+    for e in ((1.5, 0), (1.0, 0), (0, "1")):
+        with pytest.raises(ValueError, match="must be an integer"):
+            MultiPoly(Z2, {e: 1})
+    assert MultiPoly(Z2, {(1, 0): 1}) == X1
+
+
 def test_space_mismatch():
     with pytest.raises(SpaceMismatchError):
         X1 + MultiPoly.variable(VarSpace.z(3), 0)

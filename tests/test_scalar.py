@@ -77,6 +77,40 @@ def test_zero_is_canonical():
     assert z == S_ZERO
 
 
+def test_polynomial_refuses_non_integer_terms():
+    for terms in ({(0, 0): 0.5}, {(0, 0): Fraction(1, 2)}, {(0, 0): 2.0},
+                  {(1.7, 0): 2}, {(0, Fraction(1)): 1}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            QTPolynomial(terms)
+    assert QTPolynomial({(1, 0): True}) == P_Q
+
+
+def test_from_int_refuses_non_integers():
+    for n in (0.5, Fraction(1, 2), 3.0):
+        with pytest.raises(ValueError, match="must be an integer"):
+            QTPolynomial.from_int(n)
+    assert QTPolynomial.from_int(-3) == -3
+
+
+def test_monomial_refuses_non_integers():
+    for args in ((1.5, 0), (0, 2.0), (1, 1, 0.5), (1, 1, Fraction(1, 2))):
+        with pytest.raises(ValueError, match="must be an integer"):
+            QTPolynomial.monomial(*args)
+    assert QTPolynomial.monomial(1, 0) == P_Q
+
+
+def test_constants_hash_like_the_int_they_equal():
+    constants = [(P_ZERO, 0), (P_ONE, 1), (S_ZERO, 0), (S_ONE, 1),
+                 (QTPolynomial.from_int(-7), -7), (QTScalar.from_int(-1), -1),
+                 (QTScalar.from_int(2 ** 70), 2 ** 70)]
+    for value, n in constants:
+        assert value == n and hash(value) == hash(n)
+        assert {value: "v"}.get(n) == "v" and {n: "n"}.get(value) == "n"
+    # a polynomial value equals its numerator, so it hashes like it too
+    assert S_Q == P_Q and hash(S_Q) == hash(P_Q)
+    assert {P_Q + P_T: "p"}.get(S_Q + S_T) == "p"
+
+
 def test_negative_powers():
     s = qt_monomial(-2, 1)
     assert s == QTScalar(P_T, P_Q * P_Q)
