@@ -50,7 +50,8 @@ from .macdonald import (Bitableau, ReverseTableau, bitableaux,
 from .shifted import (duality_check, evaluate_at_partition, fat_hook_point,
                       interpolation_by_branching, interpolation_polynomial,
                       interpolation_pstar_expansion, interpolation_tableau_sum,
-                      shifted_super_macdonald, shifted_super_tableau_sum)
+                      interpolation_value, shifted_super_macdonald,
+                      shifted_super_tableau_sum)
 from .verify import SUITES, run_suite
 
 __version__ = "0.1.0"

@@ -7,14 +7,21 @@ box s = (i, j) of lambda satisfies 1 <= i <= len(lambda), 1 <= j <= lambda[i-1].
 
 from __future__ import annotations
 
+import operator
+
 from .errors import InvalidPartitionError
 from .scalar import (P_ONE, QTPolynomial, QTScalar, S_ZERO, one_minus_q,
                      one_minus_t, qt_monomial)
 
 
 def as_partition(seq):
-    """Validate and normalize a partition given as any integer iterable."""
-    parts = tuple(int(x) for x in seq)
+    """Validate and normalize a partition given as any integer iterable; a
+    float, a string or any other non-integer part is refused, never
+    truncated."""
+    try:
+        parts = tuple(map(operator.index, seq))
+    except TypeError:
+        raise InvalidPartitionError(f"parts must be integers: {seq!r}") from None
     if any(x <= 0 for x in parts):
         raise InvalidPartitionError(f"parts must be positive: {parts}")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -107,11 +114,11 @@ def in_fat_hook(lam, n, m):
     return part(lam, n + 1) <= m
 
 
-def partitions_of(d, max_length=None, max_part=None, fat_hook=None):
+def partitions_of(d, max_length=None, fat_hook=None):
     """All partitions of weight d, in descending lexicographic order.
 
-    Optional constraints: at most ``max_length`` parts, each part at most
-    ``max_part``, or membership in the fat hook ``fat_hook=(n, m)``.
+    Optional constraints: at most ``max_length`` parts, or membership in the
+    fat hook ``fat_hook=(n, m)``.
     """
     if d < 0:
         raise ValueError("weight must be nonnegative")
@@ -128,19 +135,16 @@ def partitions_of(d, max_length=None, max_part=None, fat_hook=None):
             rec(remaining - k, k, acc)
             acc.pop()
 
-    rec(d, d if max_part is None else min(d, max_part), [])
+    rec(d, d, [])
     if fat_hook is not None:
         n, m = fat_hook
         results = [lam for lam in results if in_fat_hook(lam, n, m)]
     return results
 
 
-def partitions_up_to(d, **kwargs):
+def partitions_up_to(d):
     """All partitions of weight 0..d, grouped weight by weight."""
-    out = []
-    for k in range(d + 1):
-        out.extend(partitions_of(k, **kwargs))
-    return out
+    return [lam for k in range(d + 1) for lam in partitions_of(k)]
 
 
 def subpartitions(lam):

@@ -21,8 +21,8 @@ construction.
 from __future__ import annotations
 
 from .errors import SpaceMismatchError
-from .scalar import (P_ONE, P_ZERO, QTScalar, S_ONE, S_ZERO, _as_int, _coerce,
-                     over_common_denominator)
+from .scalar import (P_ONE, P_ZERO, QTPolynomial, QTScalar, S_ONE, S_ZERO,
+                     _as_int, _as_scalar, over_common_denominator)
 
 
 # Every N-variable object is built in a VarSpace, so this cap bounds the
@@ -38,6 +38,7 @@ class VarSpace:
     def __init__(self, kind, n, m=0):
         if kind not in ("z", "xy"):
             raise ValueError("kind must be 'z' or 'xy'")
+        n, m = _as_int(n, "a variable count"), _as_int(m, "a variable count")
         if n < 0 or m < 0:
             raise ValueError("variable counts must be nonnegative")
         if n + m > _MAX_VARIABLES:
@@ -224,6 +225,10 @@ def _divided_difference(terms, i, j):
     return quo
 
 
+# the operands that +, -, * and == take as constant polynomials
+_CONSTANTS = (int, QTPolynomial, QTScalar)
+
+
 class MultiPoly:
     """Sparse polynomial with QTScalar coefficients in a fixed VarSpace."""
 
@@ -238,7 +243,7 @@ class MultiPoly:
                     raise ValueError(f"exponent vector {e} does not fit {space!r}")
                 if any(x < 0 for x in e):
                     raise ValueError("exponents must be nonnegative")
-                c = _coerce(c)
+                c = _as_scalar(c)
                 if not c.is_zero():
                     clean[e] = c
         self.space = space
@@ -257,7 +262,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, space, c):
-        c = _coerce(c)
+        c = _as_scalar(c)
         if c.is_zero():
             return cls.zero(space)
         return cls._raw(space, {(0,) * space.dim: c})
@@ -287,7 +292,7 @@ class MultiPoly:
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
             return self.space == other.space and self.terms == other.terms
-        if isinstance(other, (int, QTScalar)):
+        if isinstance(other, _CONSTANTS):
             return self == MultiPoly.constant(self.space, other)
         return NotImplemented
 
@@ -295,8 +300,10 @@ class MultiPoly:
         return MultiPoly._raw(self.space, {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, (int, QTScalar)):
+        if isinstance(other, _CONSTANTS):
             other = MultiPoly.constant(self.space, other)
+        elif not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check_space(other)
         out = dict(self.terms)
         _add_into(out, other.terms)
@@ -305,19 +312,23 @@ class MultiPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, QTScalar)):
+        if isinstance(other, _CONSTANTS):
             other = MultiPoly.constant(self.space, other)
+        elif not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check_space(other)
         out = dict(self.terms)
         _sub_into(out, other.terms)
         return MultiPoly._raw(self.space, out)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, QTScalar)):
+        if isinstance(other, _CONSTANTS):
             return self.scale(other)
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check_space(other)
         a, b = self.terms, other.terms
         if len(a) > len(b):
@@ -331,7 +342,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = _coerce(c)
+        c = _as_scalar(c)
         if c.is_zero():
             return MultiPoly.zero(self.space)
         return MultiPoly._raw(self.space, _scale(self.terms, c))
@@ -382,9 +393,9 @@ class MultiPoly:
         norm = {}
         for i, v in bindings.items():
             if isinstance(v, tuple):
-                norm[i] = (v[0], _coerce(v[1]))
+                norm[i] = (v[0], _as_scalar(v[1]))
             else:
-                norm[i] = _coerce(v)
+                norm[i] = _as_scalar(v)
         out = {}
         for e, c in self.terms.items():
             factor = c
@@ -416,7 +427,7 @@ class MultiPoly:
 
     def shift_variable(self, i, factor):
         """Scale one variable: terms with v_i^k are multiplied by factor^k."""
-        return MultiPoly._raw(self.space, _shift(self.terms, i, _coerce(factor)))
+        return MultiPoly._raw(self.space, _shift(self.terms, i, _as_scalar(factor)))
 
     def swap_variables(self, i, j):
         return MultiPoly._raw(self.space, _transpose(self.terms, i, j))
@@ -430,7 +441,7 @@ class MultiPoly:
         """Full evaluation at a list of QTScalar coordinates."""
         if len(point) != self.space.dim:
             raise ValueError("point length does not match the space")
-        point = [_coerce(p) for p in point]
+        point = [_as_scalar(p) for p in point]
         values = []
         for e, c in self.terms.items():
             v = c
@@ -506,7 +517,7 @@ def linear_combination(space, pairs):
     are summed in Z[q, t] over the least common denominator, and each
     distinct output numerator is reduced once.
     """
-    items = [(_coerce(c), poly) for c, poly in pairs]
+    items = [(_as_scalar(c), poly) for c, poly in pairs]
     items = [(c, poly) for c, poly in items if not (c.is_zero() or poly.is_zero())]
     mults, den = over_common_denominator(c for c, _ in items)
     acc = {}

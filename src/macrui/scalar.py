@@ -417,11 +417,13 @@ class QTScalar:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if isinstance(num, int):
+        # an int becomes a constant polynomial; any other non-polynomial
+        # (a float, a Fraction) is refused by from_int with a ValueError
+        if not isinstance(num, QTPolynomial):
             num = QTPolynomial.from_int(num)
         if den is None:
             den = P_ONE
-        elif isinstance(den, int):
+        elif not isinstance(den, QTPolynomial):
             den = QTPolynomial.from_int(den)
         if den.is_zero():
             raise ScalarDivisionError("zero denominator")
@@ -609,6 +611,8 @@ S_T = QTScalar._raw(P_T, P_ONE)
 
 
 def _coerce(x):
+    """x as a QTScalar: an int, a QTPolynomial or a QTScalar; NotImplemented
+    for any other type, so an operator can hand it back to Python."""
     if isinstance(x, QTScalar):
         return x
     if isinstance(x, int):
@@ -616,6 +620,17 @@ def _coerce(x):
     if isinstance(x, QTPolynomial):
         return QTScalar._raw(x, P_ONE)
     return NotImplemented
+
+
+def _as_scalar(x):
+    """``_coerce`` for the places that take a scalar as data rather than as an
+    operand: a float, a Fraction or any other type is refused with a
+    ValueError, never truncated."""
+    c = _coerce(x)
+    if c is NotImplemented:
+        raise ValueError(f"a scalar must be an int, a QTPolynomial or a QTScalar, "
+                         f"got {x!r}")
+    return c
 
 
 def over_irreducible(s, p):

@@ -21,7 +21,8 @@ from .linalg import solve_square
 from .macdonald import (bitableau_weight, bitableaux, branching_coefficients,
                         reverse_tableaux, strip_boxes)
 from .polyring import MultiPoly, VarSpace
-from .scalar import S_ONE, S_ZERO, q_pow, qt_monomial, t_pow
+from .scalar import (P_ZERO, QTScalar, S_ONE, S_ZERO, over_common_denominator,
+                     q_pow, qt_monomial, t_pow)
 from .symfun import (SymExpansion, from_shifted_power_expansion,
                      restrict_shifted_expansion)
 
@@ -83,29 +84,37 @@ def interpolation_polynomial(lam, N):
     reference construction); requires N >= |lambda|, otherwise the conditions
     do not pin the polynomial down and the call is rejected.
     """
-    return _interpolation_polynomial(pt.as_partition(lam), N)
-
-
-@cache
-def _interpolation_polynomial(lam, N):
+    lam = pt.as_partition(lam)
     if lam:  # for the empty shape, VarSpace.z rejects a negative N
         _check_variable_count(lam, N)
     return from_shifted_power_expansion(interpolation_pstar_expansion(lam), N)
 
 
-def evaluate_at_partition(f, mu, base="q"):
-    """Evaluate a z-space polynomial at the point (base^{mu_1}, ..., base^{mu_N}),
-    trailing coordinates equal to 1."""
+def interpolation_value(lam, mu):
+    """The value of the interpolation polynomial of shape lambda at q^mu.
+
+    Read off the p*-expansion, with no polynomial rendered: the sum of
+    c_nu p*_nu(q^mu), its numerators summed in Z[q, t] over one common
+    denominator and reduced once.  A trailing coordinate 1 adds nothing to a
+    shifted power sum, so the value does not depend on the variable count.
+    """
+    mu = pt.as_partition(mu)
+    expansion = interpolation_pstar_expansion(lam)
+    nums, den = over_common_denominator(expansion.coeffs.values())
+    total = P_ZERO
+    for num, nu in zip(nums, expansion.coeffs):
+        total = total + num * _pstar_product_value(nu, mu).num
+    return QTScalar(total, den)
+
+
+def evaluate_at_partition(f, mu):
+    """Evaluate a z-space polynomial at the point (q^{mu_1}, ..., q^{mu_N}),
+    trailing coordinates equal to 1.  For an interpolation polynomial,
+    ``interpolation_value`` gives the same value without the polynomial."""
     mu = pt.as_partition(mu)
     if len(mu) > f.space.dim:
         raise InvalidPartitionError(f"{mu} has more parts than variables")
-    if base == "q":
-        point = [q_pow(pt.part(mu, i + 1)) for i in range(f.space.dim)]
-    elif base == "t":
-        point = [t_pow(pt.part(mu, i + 1)) for i in range(f.space.dim)]
-    else:
-        raise ValueError("base must be 'q' or 't'")
-    return f.evaluate(point)
+    return f.evaluate([q_pow(pt.part(mu, i + 1)) for i in range(f.space.dim)])
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +178,17 @@ def interpolation_tableau_sum(lam, N):
 def duality_check(lam, mu):
     """Exact check of the evaluation duality: the value of the lambda
     polynomial at q^mu equals the hook ratio times the value of the
-    conjugate-shape polynomial, with parameters exchanged, at t^{mu'}."""
+    conjugate-shape polynomial, with parameters exchanged, at t^{mu'}.
+
+    Both values come off the p*-expansions (``interpolation_value``): the
+    parameter-swapped polynomial at t^{mu'} is the q <-> t image of the
+    conjugate-shape polynomial at q^{mu'}.
+    """
     lam, mu = pt.as_partition(lam), pt.as_partition(mu)
-    N = max(pt.weight(lam), pt.weight(mu), len(lam), len(mu), 1)
-    lhs = evaluate_at_partition(interpolation_polynomial(lam, N), mu, "q")
     lamc = pt.conjugate(lam)
     ratio = pt.hook_product(lam) / pt.hook_product(lamc).swap_qt()
-    rhs_poly = interpolation_polynomial(lamc, N).swap_parameters()
-    rhs = ratio * evaluate_at_partition(rhs_poly, pt.conjugate(mu), "t")
-    return lhs == rhs
+    rhs = ratio * interpolation_value(lamc, pt.conjugate(mu)).swap_qt()
+    return interpolation_value(lam, mu) == rhs
 
 
 # ---------------------------------------------------------------------------

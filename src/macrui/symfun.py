@@ -15,8 +15,8 @@ from .errors import NotSymmetricError, SingularSystemError
 from . import partitions as pt
 from .linalg import solve_square
 from .polyring import MultiPoly, VarSpace, linear_combination
-from .scalar import (QTScalar, S_ONE, S_Q, S_T, S_ZERO, _coerce, one_minus_q,
-                     one_minus_t, q_pow, qt_ratio, t_pow)
+from .scalar import (QTScalar, S_ONE, S_Q, S_T, S_ZERO, _as_scalar,
+                     one_minus_q, one_minus_t, q_pow, qt_ratio, t_pow)
 
 
 class SymExpansion:
@@ -38,7 +38,7 @@ class SymExpansion:
         if coeffs:
             for lam, c in coeffs.items():
                 lam = pt.as_partition(lam)
-                c = _coerce(c)
+                c = _as_scalar(c)
                 if not c.is_zero():
                     clean[lam] = c
         self.coeffs = clean

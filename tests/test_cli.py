@@ -276,6 +276,16 @@ def test_verify_ceilings_are_listed_in_help(capsys):
         assert f"{suite} {ceiling}" in out
 
 
+def test_readme_ceiling_table_matches_the_ceilings():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = {}
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[0].strip("`") in SUITES:
+            table[cells[0].strip("`")] = int(cells[1])
+    assert table == _WEIGHT_CEILINGS
+
+
 def test_verify_weight_three_totals_are_pinned():
     # recorded before the weight ceilings were introduced
     totals = {"eigen": 34, "commdia": 24, "kernel": 22, "duality": 49,

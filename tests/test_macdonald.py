@@ -33,6 +33,12 @@ def test_hand_checked_shape():
         macdonald_polynomial((1, 1), 1)
 
 
+def test_non_integer_shape_is_refused_not_truncated():
+    # (2.5,) used to be read as (2,)
+    with pytest.raises(InvalidPartitionError, match="must be integers"):
+        macdonald_polynomial((2.5,), 2)
+
+
 def test_branching_examples():
     bc = branching_coefficients((1,))
     assert bc == {(1,): S_ONE, (): S_ONE}

@@ -14,6 +14,14 @@ def test_as_partition_rejects_bad_input():
         pt.as_partition((2, 0))
 
 
+def test_non_integer_parts_are_refused_not_truncated():
+    for lam in ((2.7, 1), (2.0,), (1, "1"), "21"):
+        with pytest.raises(InvalidPartitionError, match="must be integers"):
+            pt.as_partition(lam)
+    with pytest.raises(InvalidPartitionError, match="must be integers"):
+        pt.hook_product((2.9,))
+
+
 def test_conjugate_examples():
     assert pt.conjugate((3, 1)) == (2, 1, 1)
     assert pt.conjugate(()) == ()

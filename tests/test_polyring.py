@@ -1,13 +1,16 @@
 """Sparse polynomial arithmetic, division by v_i - v_j, substitution, symmetry."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macrui.errors import SpaceMismatchError
-from macrui.polyring import MultiPoly, VarSpace, _div_difference
-from macrui.scalar import (QTScalar, S_ONE, S_Q, S_T, S_ZERO, q_pow, qt_monomial,
-                           t_pow)
+from macrui.polyring import (MultiPoly, VarSpace, _div_difference,
+                             linear_combination)
+from macrui.scalar import (P_ONE, QTScalar, S_ONE, S_Q, S_T, S_ZERO, q_pow,
+                           qt_monomial, t_pow)
 
 
 Z2 = VarSpace.z(2)
@@ -41,6 +44,51 @@ def test_exponents_must_be_integers():
         with pytest.raises(ValueError, match="must be an integer"):
             MultiPoly(Z2, {e: 1})
     assert MultiPoly(Z2, {(1, 0): 1}) == X1
+
+
+NOT_SCALARS = (0.5, Fraction(1, 2), "1")
+
+
+@pytest.mark.parametrize("bad", NOT_SCALARS)
+def test_polynomial_refuses_non_scalar_coefficients(bad):
+    with pytest.raises(ValueError, match="a scalar must be"):
+        MultiPoly(Z2, {(1, 0): bad})
+
+
+@pytest.mark.parametrize("bad", NOT_SCALARS)
+def test_constant_refuses_non_scalars(bad):
+    with pytest.raises(ValueError, match="a scalar must be"):
+        MultiPoly.constant(Z2, bad)
+
+
+@pytest.mark.parametrize("bad", NOT_SCALARS)
+def test_scale_refuses_non_scalars(bad):
+    with pytest.raises(ValueError, match="a scalar must be"):
+        X1.scale(bad)
+
+
+@pytest.mark.parametrize("bad", NOT_SCALARS)
+def test_linear_combination_refuses_non_scalars(bad):
+    with pytest.raises(ValueError, match="a scalar must be"):
+        linear_combination(Z2, [(bad, X1)])
+
+
+@pytest.mark.parametrize("bad", NOT_SCALARS)
+def test_arithmetic_with_unsupported_types_is_a_type_error(bad):
+    for op in (lambda: X1 + bad, lambda: bad + X1, lambda: X1 - bad,
+               lambda: bad - X1, lambda: X1 * bad, lambda: bad * X1):
+        with pytest.raises(TypeError):
+            op()
+    # the supported constants still combine
+    assert X1 + 1 == 1 + X1 == X1 + S_ONE == X1 + P_ONE
+    assert 2 - X1 == -(X1 - 2) and X1 * 2 == 2 * X1 == X1.scale(2)
+
+
+def test_variable_count_must_be_an_integer():
+    for make in (lambda: VarSpace.z(2.0), lambda: VarSpace.xy(1, 1.5),
+                 lambda: VarSpace.z("2")):
+        with pytest.raises(ValueError, match="variable count must be an integer"):
+            make()
 
 
 def test_space_mismatch():

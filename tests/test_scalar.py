@@ -99,6 +99,13 @@ def test_monomial_refuses_non_integers():
     assert QTPolynomial.monomial(1, 0) == P_Q
 
 
+def test_scalar_refuses_a_non_integer_numerator_or_denominator():
+    for args in ((0.5,), (1, 0.5), (Fraction(1, 2),), (S_ONE,)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            QTScalar(*args)
+    assert QTScalar(2, 4) == QTScalar(P_ONE, QTPolynomial.from_int(2))
+
+
 def test_constants_hash_like_the_int_they_equal():
     constants = [(P_ZERO, 0), (P_ONE, 1), (S_ZERO, 0), (S_ONE, 1),
                  (QTPolynomial.from_int(-7), -7), (QTScalar.from_int(-1), -1),

@@ -29,6 +29,8 @@ def test_vanishing_solve_examples():
 def test_vanishing_solve_needs_enough_variables():
     with pytest.raises(SingularSystemError):
         interpolation_polynomial((2,), 1)
+    with pytest.raises(ValueError, match="variable count must be an integer"):
+        interpolation_polynomial((1,), 1.5)
     with pytest.raises(InvalidPartitionError):
         interpolation_polynomial((1, 1), 1)
     with pytest.raises(InvalidPartitionError):
@@ -117,7 +119,6 @@ def test_vanishing_system_solved_once_per_shape(monkeypatch):
     from macrui import shifted
 
     shifted._interpolation_pstar_expansion.cache_clear()
-    shifted._interpolation_polynomial.cache_clear()
     calls = []
     solve = shifted.solve_square
 

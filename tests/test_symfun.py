@@ -22,6 +22,13 @@ from macrui.symfun import (SymExpansion, deformed_newton_sum,
                            to_shifted_power_expansion)
 
 
+def test_expansion_refuses_non_scalar_coefficients():
+    for bad in (0.5, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="a scalar must be"):
+            SymExpansion("m", 2, {(1,): bad})
+    assert SymExpansion("m", 2, {(1,): 1}).get((1,)) == S_ONE
+
+
 def test_monomial_symmetric_examples():
     sp = VarSpace.z(2)
     x1, x2 = MultiPoly.variable(sp, 0), MultiPoly.variable(sp, 1)
@@ -265,9 +272,9 @@ def test_conjugation_evaluation_correspondence():
             for r in (1, 2, 3):
                 N = max(d, 1)
                 ps = shifted_power_sum(r, N)
-                lhs = evaluate_at_partition(ps, pt.conjugate(lam), "q")
-                rhs = qt_ratio(r) * evaluate_at_partition(
-                    ps.swap_parameters(), lam, "t")
+                lhs = evaluate_at_partition(ps, pt.conjugate(lam))
+                t_point = [t_pow(pt.part(lam, i + 1)) for i in range(N)]
+                rhs = qt_ratio(r) * ps.swap_parameters().evaluate(t_point)
                 assert lhs == rhs
 
 
