@@ -47,11 +47,34 @@ from .macdonald import (Bitableau, ReverseTableau, bitableaux,
                         macdonald_tableau_sum, parameter_duality_sign,
                         reverse_tableaux, skew_tableau_sum, super_macdonald,
                         super_tableau_sum)
-from .shifted import (duality_check, evaluate_at_partition, fat_hook_point,
-                      interpolation_by_branching, interpolation_polynomial,
-                      interpolation_pstar_expansion, interpolation_tableau_sum,
-                      interpolation_value, shifted_super_macdonald,
-                      shifted_super_tableau_sum)
-from .verify import SUITES, run_suite
+
+# The interpolation layer and the verify suites construct nothing the other
+# layers need, so ``import macrui`` leaves them out: each of these names loads
+# its module on first access (PEP 562) and is then bound here like the rest;
+# the two module names load their modules too.
+_LAZY = {
+    **dict.fromkeys(("duality_check", "evaluate_at_partition", "fat_hook_point",
+                     "interpolation_by_branching", "interpolation_polynomial",
+                     "interpolation_pstar_expansion", "interpolation_tableau_sum",
+                     "interpolation_value", "shifted_super_macdonald",
+                     "shifted_super_tableau_sum", "shifted"), "shifted"),
+    **dict.fromkeys(("SUITES", "run_suite", "verify"), "verify"),
+}
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+        globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

@@ -5,8 +5,6 @@ the verification suites, emitting deterministic JSON (default) or readable
 text.  Identical requests produce byte-identical JSON.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os

@@ -8,8 +8,6 @@ emitters sort, so equal values produce identical bytes.  The readers check
 the schema and raise MalformedInputError on input that does not match it.
 """
 
-from __future__ import annotations
-
 from .errors import MalformedInputError
 from .partitions import as_partition
 from .polyring import MultiPoly, VarSpace

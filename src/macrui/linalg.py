@@ -1,7 +1,5 @@
 """Dense exact linear algebra over the scalar field Q(q, t)."""
 
-from __future__ import annotations
-
 from .errors import SingularSystemError
 from .scalar import S_ZERO
 

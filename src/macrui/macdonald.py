@@ -12,8 +12,6 @@ convention-proof.  The two-alphabet (super) polynomial is the image under
 the restriction homomorphism computed through the power-sum basis.
 """
 
-from __future__ import annotations
-
 from functools import cache
 
 from .errors import InvalidPartitionError, MacruiError

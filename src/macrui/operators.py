@@ -15,8 +15,6 @@ at the end.  The Hecke generators take the same divided difference on
 QTScalar coefficients.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .errors import NonDivisibleError, NotSymmetricError

@@ -5,8 +5,6 @@ empty partition is ().  Boxes are addressed (row, column), 1-based, so a
 box s = (i, j) of lambda satisfies 1 <= i <= len(lambda), 1 <= j <= lambda[i-1].
 """
 
-from __future__ import annotations
-
 import operator
 
 from .errors import InvalidPartitionError

@@ -18,8 +18,6 @@ Values are immutable by convention: never mutate ``terms`` after
 construction.
 """
 
-from __future__ import annotations
-
 from .errors import SpaceMismatchError
 from .scalar import (P_ONE, P_ZERO, QTPolynomial, QTScalar, S_ONE, S_ZERO,
                      _as_int, _as_scalar, over_common_denominator)
@@ -225,7 +223,9 @@ def _divided_difference(terms, i, j):
     return quo
 
 
-# the operands that +, -, * and == take as constant polynomials
+# the operands that +, -, * and == take as constant polynomials, on either
+# side: each of them returns NotImplemented for a MultiPoly, so ``q + z1``
+# reaches MultiPoly.__radd__
 _CONSTANTS = (int, QTPolynomial, QTScalar)
 
 

@@ -12,12 +12,9 @@ Zero is stored as 0/1.
 All values are immutable after construction and safe to share.
 """
 
-from __future__ import annotations
-
 import heapq
 import math
 import operator
-from fractions import Fraction
 
 from .errors import ScalarDivisionError, SpecialParameterError
 
@@ -101,7 +98,9 @@ class QTPolynomial:
         return QTPolynomial._raw({e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, QTPolynomial):
+            if not isinstance(other, int):
+                return NotImplemented
             other = QTPolynomial.from_int(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -115,7 +114,9 @@ class QTPolynomial:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, QTPolynomial):
+            if not isinstance(other, int):
+                return NotImplemented
             other = QTPolynomial.from_int(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -127,10 +128,12 @@ class QTPolynomial:
         return QTPolynomial._raw(out)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, QTPolynomial):
+            if not isinstance(other, int):
+                return NotImplemented
             if other == 0:
                 return P_ZERO
             return QTPolynomial._raw({e: c * other for e, c in self.terms.items()})
@@ -164,6 +167,7 @@ class QTPolynomial:
         return result
 
     def evaluate(self, q0, t0):
+        from fractions import Fraction
         q0, t0 = Fraction(q0), Fraction(t0)
         total = Fraction(0)
         for (a, b), c in self.terms.items():
@@ -450,6 +454,7 @@ class QTScalar:
 
     @classmethod
     def from_fraction(cls, fr):
+        from fractions import Fraction
         fr = Fraction(fr)
         return cls(QTPolynomial.from_int(fr.numerator),
                    QTPolynomial.from_int(fr.denominator))

@@ -11,8 +11,6 @@ by q^{n(lam) - n(lam')} t^{n(lam') - n(lam)} (measured exactly, verified by
 the test suite).
 """
 
-from __future__ import annotations
-
 from functools import cache
 
 from .errors import InvalidPartitionError, SingularSystemError
@@ -61,11 +59,14 @@ def interpolation_pstar_expansion(lam):
     expansion recovered from the polynomial at |lambda| and |lambda| + 1
     variables.
     """
-    return _interpolation_pstar_expansion(pt.as_partition(lam))
+    return _interpolation(pt.as_partition(lam))[0]
 
 
 @cache
-def _interpolation_pstar_expansion(lam):
+def _interpolation(lam):
+    """The p*-expansion of shape lambda, and its coefficients cleared over one
+    common denominator (numerators in the expansion's order, and the
+    denominator): the form that ``interpolation_value`` sums."""
     # the square collocation system: the unknowns are the shifted power-sum
     # products of weight at most |lam|, the conditions the values at every
     # point q^nu of weight at most |lam|: zero away from lam, the hook
@@ -74,7 +75,8 @@ def _interpolation_pstar_expansion(lam):
     matrix = [[_pstar_product_value(mu, nu) for mu in basis] for nu in basis]
     rhs = [pt.hook_product(lam) if nu == lam else S_ZERO for nu in basis]
     coeffs = solve_square(matrix, rhs)
-    return SymExpansion("pstar", pt.weight(lam), dict(zip(basis, coeffs)))
+    expansion = SymExpansion("pstar", pt.weight(lam), dict(zip(basis, coeffs)))
+    return expansion, over_common_denominator(expansion.coeffs.values())
 
 
 def interpolation_polynomial(lam, N):
@@ -94,13 +96,13 @@ def interpolation_value(lam, mu):
     """The value of the interpolation polynomial of shape lambda at q^mu.
 
     Read off the p*-expansion, with no polynomial rendered: the sum of
-    c_nu p*_nu(q^mu), its numerators summed in Z[q, t] over one common
-    denominator and reduced once.  A trailing coordinate 1 adds nothing to a
-    shifted power sum, so the value does not depend on the variable count.
+    c_nu p*_nu(q^mu), its numerators summed in Z[q, t] over the shape's
+    common denominator (cleared once, next to the solve) and reduced once.
+    A trailing coordinate 1 adds nothing to a shifted power sum, so the
+    value does not depend on the variable count.
     """
     mu = pt.as_partition(mu)
-    expansion = interpolation_pstar_expansion(lam)
-    nums, den = over_common_denominator(expansion.coeffs.values())
+    expansion, (nums, den) = _interpolation(pt.as_partition(lam))
     total = P_ZERO
     for num, nu in zip(nums, expansion.coeffs):
         total = total + num * _pstar_product_value(nu, mu).num
@@ -185,10 +187,17 @@ def duality_check(lam, mu):
     conjugate-shape polynomial at q^{mu'}.
     """
     lam, mu = pt.as_partition(lam), pt.as_partition(mu)
+    pairs = ((lam, mu), (pt.conjugate(lam), pt.conjugate(mu)))
+    return _duality_holds(lam, mu, {pair: interpolation_value(*pair) for pair in pairs})
+
+
+def _duality_holds(lam, mu, values):
+    """The duality for one pair, its values looked up in ``values``: a map
+    (shape, point) -> ``interpolation_value`` holding (lam, mu) and
+    (lam', mu')."""
     lamc = pt.conjugate(lam)
     ratio = pt.hook_product(lam) / pt.hook_product(lamc).swap_qt()
-    rhs = ratio * interpolation_value(lamc, pt.conjugate(mu)).swap_qt()
-    return interpolation_value(lam, mu) == rhs
+    return values[lam, mu] == ratio * values[lamc, pt.conjugate(mu)].swap_qt()
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,6 @@ the two restriction maps onto the two-alphabet polynomial algebra: one for
 symmetric functions and one for shifted symmetric functions.
 """
 
-from __future__ import annotations
-
 from functools import cache
 
 from .errors import NotSymmetricError, SingularSystemError

@@ -5,8 +5,6 @@ pass/fail record per instance; a failing record carries a symbolic witness.
 Failures are report content, never exceptions.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -22,7 +20,7 @@ from .operators import (apply_deformed_mr, apply_mr, cherednik_dunkl,
 from .polyring import MultiPoly, VarSpace
 from .scalar import (P_ONE, QTPolynomial, QTScalar, S_ONE, S_T, one_minus_q,
                      qt_eval)
-from .shifted import (duality_check, evaluate_at_partition,
+from .shifted import (_duality_holds, evaluate_at_partition,
                       interpolation_by_branching, interpolation_polynomial,
                       interpolation_tableau_sum, interpolation_value,
                       shifted_super_macdonald, shifted_super_tableau_sum)
@@ -122,13 +120,18 @@ def suite_kernel(max_weight, bounds):
 
 
 def suite_duality(max_weight, bounds):
-    """Evaluation duality between conjugate shapes with parameters swapped."""
+    """Evaluation duality between conjugate shapes with parameters swapped.
+
+    The shapes are closed under conjugation, so each value is computed once:
+    it is the left side of its own pair and, swapped, the right side of the
+    conjugate pair."""
     checks = []
     shapes = [lam for d in range(max_weight + 1) for lam in pt.partitions_of(d)]
+    values = {(lam, mu): interpolation_value(lam, mu) for lam in shapes for mu in shapes}
     for lam in shapes:
         for mu in shapes:
             _check(checks, f"duality lam={list(lam)} mu={list(mu)}",
-                   duality_check(lam, mu))
+                   _duality_holds(lam, mu, values))
     return checks
 
 
@@ -367,7 +370,7 @@ _WEIGHT_CEILINGS = {
     "eigen": 7,             # 45 s; weight 8 still running after 60 s
     "commdia": 7,           # 36 s; weight 8 over 100 s
     "kernel": 8,            # 25 s; weight 9 over 100 s
-    "duality": 6,           # 55 s; weight 7 over 150 s
+    "duality": 6,           # 26 s; weight 7 takes 314 s
     "vanishing": 5,         # 13 s; weight 6 over 150 s, mostly in the tableau sums
     "combinatorial": 8,     # 27 s; weight 9 takes 75 s
     "cherednik": 64,        # 0.3 s at every weight

@@ -118,6 +118,29 @@ def test_constants_hash_like_the_int_they_equal():
     assert {P_Q + P_T: "p"}.get(S_Q + S_T) == "p"
 
 
+def test_polynomial_arithmetic_with_a_multipoly_is_multipoly_arithmetic():
+    # QTPolynomial's +, - and * hand a MultiPoly back to Python, so the
+    # MultiPoly side takes q as a constant
+    space = VarSpace.z(2)
+    z1, q = MultiPoly.variable(space, 0), MultiPoly.constant(space, P_Q)
+    for result, expected in ((P_Q + z1, q + z1), (P_Q - z1, q - z1),
+                             (P_Q * z1, q * z1), (z1 - P_Q, z1 - q)):
+        assert isinstance(result, MultiPoly) and result == expected
+    # and a QTScalar operand reaches QTScalar's reflected methods
+    assert P_Q + S_T == S_Q + S_T and P_Q - S_T == S_Q - S_T
+    assert P_Q * S_T == S_Q * S_T
+
+
+@pytest.mark.parametrize("bad", [1.5, Fraction(1, 2), "q", None])
+def test_polynomial_arithmetic_with_unsupported_types_is_a_type_error(bad):
+    for op in (lambda: P_Q + bad, lambda: bad + P_Q, lambda: P_Q - bad,
+               lambda: bad - P_Q, lambda: P_Q * bad, lambda: bad * P_Q):
+        with pytest.raises(TypeError):
+            op()
+    # ints still combine, from either side
+    assert P_Q + 1 == 1 + P_Q and 2 - P_Q == -(P_Q - 2) and 3 * P_Q == P_Q * 3
+
+
 def test_negative_powers():
     s = qt_monomial(-2, 1)
     assert s == QTScalar(P_T, P_Q * P_Q)

@@ -118,7 +118,7 @@ def test_shifted_expansion_coefficients_stable_in_variable_count():
 def test_vanishing_system_solved_once_per_shape(monkeypatch):
     from macrui import shifted
 
-    shifted._interpolation_pstar_expansion.cache_clear()
+    shifted._interpolation.cache_clear()
     calls = []
     solve = shifted.solve_square
 
@@ -167,6 +167,32 @@ def test_duality_up_to_weight_three():
     for lam in shapes:
         for mu in shapes:
             assert duality_check(lam, mu)
+
+
+def test_duality_suite_computes_each_value_once(monkeypatch):
+    from macrui import shifted, verify
+
+    shifted._interpolation.cache_clear()
+    values, clearings = [], []
+    value, clear = verify.interpolation_value, shifted.over_common_denominator
+
+    def counted_value(lam, mu):
+        values.append((lam, mu))
+        return value(lam, mu)
+
+    def counted_clear(coeffs):
+        clearings.append(1)
+        return clear(coeffs)
+
+    monkeypatch.setattr(verify, "interpolation_value", counted_value)
+    monkeypatch.setattr(shifted, "over_common_denominator", counted_clear)
+    report = verify.run_suite("duality", 3)
+    shapes = pt.partitions_up_to(3)
+    assert report["ok"] and report["total"] == len(shapes) ** 2 == 49
+    # each value once: the right side of (lam, mu) is the left side of (lam', mu')
+    assert sorted(values) == sorted((lam, mu) for lam in shapes for mu in shapes)
+    # one cleared form per shape, made with its solve
+    assert len(clearings) == len(shapes)
 
 
 def test_fat_hook_point_examples():
