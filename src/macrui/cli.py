@@ -263,6 +263,10 @@ def _run(args):
         return _scalar_result(request, value, args)
 
     if verb == "verify":
+        if args.at is not None:
+            raise MalformedInputError(
+                "verify checks identities over Q(q, t) and takes no --at point, "
+                f"got --at {args.at!r}")
         report = run_suite(args.suite, args.max_weight)
         payload = {"request": {"verb": verb, "suite": args.suite,
                                "max_weight": args.max_weight},

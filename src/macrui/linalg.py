@@ -1,7 +1,7 @@
 """Dense exact linear algebra over the scalar field Q(q, t)."""
 
 from .errors import SingularSystemError
-from .scalar import S_ZERO
+from .scalar import P_ONE, QTScalar, S_ZERO, over_common_denominator
 
 
 def _row_reduce(rows, ncols):
@@ -33,14 +33,23 @@ def solve_square(matrix, rhs):
 
     ``matrix`` is a list of rows of QTScalar; ``rhs`` a list of QTScalar.
     Raises SingularSystemError when no unique solution exists.
+
+    The right-hand side is put over one common denominator L first, the
+    elimination runs on its numerators, and each unknown is divided by L
+    once at the end: over an integer matrix every step then meets integer
+    denominators only.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("solve_square needs a square system")
-    a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    nums, den = over_common_denominator(rhs)
+    a = [list(row) + [QTScalar._raw(nums[i], P_ONE)] for i, row in enumerate(matrix)]
     if len(_row_reduce(a, n)) < n:
         raise SingularSystemError("the system has no unique solution")
-    return [a[i][n] for i in range(n)]
+    if den is P_ONE:
+        return [a[i][n] for i in range(n)]
+    inv = QTScalar._raw(P_ONE, den)
+    return [a[i][n] * inv for i in range(n)]
 
 
 def rank(matrix):

@@ -18,7 +18,7 @@ from .errors import InvalidPartitionError, MacruiError
 from . import partitions as pt
 from .operators import apply_mr, mr_eigenvalue
 from .polyring import MultiPoly, VarSpace
-from .scalar import QTScalar, S_ONE, S_ZERO
+from .scalar import P_ZERO, QTScalar, S_ONE, S_ZERO, over_common_denominator
 from .symfun import (SymExpansion, from_monomial_expansion, monomial_symmetric,
                      monomial_to_power_expansion,
                      qt_ratio_automorphism, restrict_p_expansion,
@@ -63,13 +63,13 @@ def _macdonald_m_expansion(lam, N):
             continue
         if not started:
             continue
-        s = S_ZERO
-        for nu, unu in u.items():
-            c = cmat[nu].get(mu)
-            if c is not None:
-                s = s + unu * c
-        if not s.is_zero():
-            u[mu] = s / (clam - mr_eigenvalue(mu))
+        # sum_nu u_nu c_{nu mu} over one common denominator of the u_nu (the
+        # operator's m-matrix has Z[q, t] entries) and reduce the sum once
+        pairs = [(unu, cmat[nu][mu]) for nu, unu in u.items() if mu in cmat[nu]]
+        nums, den = over_common_denominator(unu for unu, _ in pairs)
+        num = sum((n * c.num for n, (_, c) in zip(nums, pairs)), P_ZERO)
+        if not num.is_zero():
+            u[mu] = QTScalar(num, den) / (clam - mr_eigenvalue(mu))
     return u
 
 

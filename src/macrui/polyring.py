@@ -516,24 +516,62 @@ def linear_combination(space, pairs):
     elements here always do); the scalars may be arbitrary.  The numerators
     are summed in Z[q, t] over the least common denominator, and each
     distinct output numerator is reduced once.
+
+    The numerator sums run on Kronecker-packed integers, q^a t^b ->
+    2^(bits * (a + stride * b)).  ``stride`` exceeds the q-degree of every
+    product, and 2^(bits - 2) exceeds every output coefficient: it is at
+    most the sum over the pairs of the largest multiplier coefficient times
+    the largest 1-norm of a summand coefficient.  So the balanced
+    base-2^bits digits of a packed sum are its coefficients.
     """
     items = [(_as_scalar(c), poly) for c, poly in pairs]
     items = [(c, poly) for c, poly in items if not (c.is_zero() or poly.is_zero())]
     mults, den = over_common_denominator(c for c, _ in items)
+    stride, bound = 1, 0
+    for mult, (_, poly) in zip(mults, items):
+        vs = [v.num.terms for v in poly.terms.values()]
+        if any(v.den.terms != P_ONE.terms for v in poly.terms.values()):
+            raise ValueError("linear_combination needs denominator-free coefficients")
+        stride = max(stride,
+                     1 + max(a for a, _ in mult.terms) + max(a for v in vs for a, _ in v))
+        bound += (max(map(abs, mult.terms.values()))
+                  * max(sum(map(abs, v.values())) for v in vs))
+    bits = bound.bit_length() + 2
     acc = {}
     for mult, (_, poly) in zip(mults, items):
+        pm = _pack(mult.terms, bits, stride)
         for e, v in poly.terms.items():
-            if v.den.terms != P_ONE.terms:
-                raise ValueError("linear_combination needs denominator-free coefficients")
-            contrib = v.num * mult
+            contrib = pm * _pack(v.num.terms, bits, stride)
             s = acc.get(e)
             acc[e] = contrib if s is None else s + contrib
     memo = {}  # a symmetric result repeats each numerator across an orbit
     terms = {}
-    for e, num in acc.items():
-        val = memo.get(num)
+    for e, packed in acc.items():
+        if not packed:
+            continue
+        val = memo.get(packed)
         if val is None:
-            val = memo[num] = QTScalar(num, den)
-        if not val.is_zero():
-            terms[e] = val
+            val = memo[packed] = QTScalar(
+                QTPolynomial._raw(_unpack(packed, bits, stride)), den)
+        terms[e] = val
     return MultiPoly._raw(space, terms)
+
+
+def _pack(terms, bits, stride):
+    """The integer sum of c * 2^(bits * (a + stride * b)) over the terms."""
+    return sum(c << bits * (a + stride * b) for (a, b), c in terms.items())
+
+
+def _unpack(n, bits, stride):
+    """The terms dict that ``_pack`` maps to n: its balanced base-2^bits digits."""
+    terms, k = {}, 0
+    half, base = 1 << (bits - 1), 1 << bits
+    while n:
+        d = n & (base - 1)
+        if d >= half:
+            d -= base
+        if d:
+            terms[divmod(k, stride)[::-1]] = d
+        n = (n - d) >> bits
+        k += 1
+    return terms

@@ -396,19 +396,49 @@ def _is_unit(p):
     return len(p.terms) == 1 and p.terms.get((0, 0)) in (1, -1)
 
 
+def _split_content(terms):
+    """(k, p) with terms = k * p, k > 0 the integer content."""
+    k = math.gcd(*terms.values())
+    return k, (terms if k == 1 else {e: c // k for e, c in terms.items()})
+
+
 def over_common_denominator(scalars):
     """The numerators of ``scalars`` over L, and L: the least common multiple
-    of their denominators, with positive leading coefficient.  No gcd is
-    taken while the running multiple is still 1."""
+    of their denominators, with positive leading coefficient.
+
+    L is kept as content * primitive part.  A denominator whose primitive
+    part is L's, or 1, joins by the lcm of the integer contents with no gcd
+    and no polynomial division; only a new primitive part costs a gcd.
+    """
     scalars = list(scalars)
-    den = P_ONE
-    for c in scalars:
-        d = c.den
-        if d.terms == P_ONE.terms or d.terms == den.terms:
-            continue
-        den = d if den.terms == P_ONE.terms else den * d.exact_divide(qt_gcd(den, d))
-    return [c.num if c.den.terms == den.terms else c.num * den.exact_divide(c.den)
-            for c in scalars], den
+    splits = [_split_content(c.den.terms) for c in scalars]
+    content, prim = 1, P_ONE.terms
+    for (k, p), c in zip(splits, scalars):
+        if p == prim or p == P_ONE.terms:
+            content = math.lcm(content, k)
+        elif prim == P_ONE.terms:
+            content, prim = math.lcm(content, k), p
+        else:
+            den = _times(prim, content)
+            content, prim = _split_content(
+                (den * c.den.exact_divide(qt_gcd(den, c.den))).terms)
+    den = _times(prim, content)
+    nums = []
+    for (k, p), c in zip(splits, scalars):
+        if p == prim:
+            nums.append(c.num if k == content else c.num * (content // k))
+        elif p == P_ONE.terms:
+            nums.append(c.num * _times(prim, content // k))
+        else:
+            nums.append(c.num * den.exact_divide(c.den))
+    return nums, den
+
+
+def _times(prim, k):
+    """The polynomial k * prim, for a primitive terms dict."""
+    if k == 1:
+        return P_ONE if prim == P_ONE.terms else QTPolynomial._raw(prim)
+    return QTPolynomial._raw({e: c * k for e, c in prim.items()})
 
 
 # ---------------------------------------------------------------------------

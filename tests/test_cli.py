@@ -229,6 +229,17 @@ def test_verify_rejects_negative_weight():
     assert json.loads(out)["error"]["kind"] == "MacruiError"
 
 
+@pytest.mark.parametrize("at", ["x", "1,2"])
+def test_verify_refuses_at(at):
+    # verify checks identities over Q(q, t); a point, well-formed or not,
+    # is refused rather than ignored
+    code, out = run_cli(["verify", "--suite", "kernel", "--max-weight", "1", "--at", at])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "MalformedInputError"
+    assert repr(at) in error["message"]
+
+
 def test_verify_empty_run_is_not_ok():
     # commdia checks weights 1..max_weight, so weight 0 checks nothing
     assert run_suite("commdia", 0)["total"] == 0

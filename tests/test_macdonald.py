@@ -14,7 +14,7 @@ from macrui.macdonald import (bitableaux, branching_coefficients,
                               super_macdonald, super_tableau_sum)
 from macrui.operators import apply_deformed_mr, mr_eigenvalue
 from macrui.polyring import MultiPoly, VarSpace
-from macrui.scalar import S_ONE, S_Q, S_T, S_ZERO, qt_ratio
+from macrui.scalar import S_ONE, S_Q, S_T, S_ZERO, qt_monomial, qt_ratio
 from macrui.symfun import monomial_symmetric, to_monomial_expansion
 
 
@@ -88,6 +88,40 @@ def _branching_by_rendering(lam):
                     expr[nu] = expr.get(nu, S_ZERO) - psi * c
         assert all(c.is_zero() for c in expr.values()), (lam, a)
     return out
+
+
+def _b(lam, box):
+    """b_lam(s) of SFHP VI (6.14) with t replaced by 1/t:
+    (1 - q^a t^-(l+1)) / (1 - q^(a+1) t^-l); 1 for a box outside lam."""
+    i, j = box
+    if j > pt.part(lam, i):
+        return S_ONE
+    a, l, _, _ = pt.arm_leg(lam, box)
+    return (1 - qt_monomial(a, -(l + 1))) / (1 - qt_monomial(a + 1, -l))
+
+
+def _psi_closed_form(lam, mu):
+    """psi_{lam/mu} of SFHP VI (6.24)(ii) with t replaced by 1/t: the product
+    of b_mu(s)/b_lam(s) over the boxes s in a row, and not in a column,
+    that meets lam/mu."""
+    skew = [(i, j) for i, j in pt.boxes(lam) if j > pt.part(mu, i)]
+    rows, cols = {i for i, _ in skew}, {j for _, j in skew}
+    psi = S_ONE
+    for i, j in pt.boxes(lam):
+        if i in rows and j not in cols:
+            psi = psi * _b(mu, (i, j)) / _b(lam, (i, j))
+    return psi
+
+
+def test_branching_coefficients_are_macdonalds_psi_with_t_inverted():
+    # the library's P_lam is Macdonald's P_lam(x; q, 1/t)
+    pairs = 0
+    for d in range(1, 6):
+        for lam in pt.partitions_of(d):
+            for mu, psi in branching_coefficients(lam).items():
+                assert psi == _psi_closed_form(lam, mu), (lam, mu)
+                pairs += 1
+    assert pairs == 73
 
 
 def test_branching_read_off_expansion_matches_rendering():
