@@ -6,10 +6,11 @@ monomial term with dominance-lower support (a triangular solve).  Its
 monomial coefficients do not depend on the variable count (Macdonald,
 SFHP VI.3-4): N only drops the terms with more than N parts, so every
 N >= |lam| shares the one solve at N = |lam|, and an N-variable polynomial
-is a rendering of that expansion.  Branching coefficients are read off the
-same expansion, which makes every tableau formula downstream
-convention-proof.  The two-alphabet (super) polynomial is the image under
-the restriction homomorphism computed through the power-sum basis.
+is a rendering of that expansion.  The branching coefficients are
+Macdonald's closed form psi (SFHP VI (6.24)(ii)) with t replaced by 1/t and
+do not use that construction, so every tableau formula downstream is an
+independent check of it.  The two-alphabet (super) polynomial is the image
+under the restriction homomorphism computed through the power-sum basis.
 """
 
 from functools import cache
@@ -18,7 +19,8 @@ from .errors import InvalidPartitionError, MacruiError
 from . import partitions as pt
 from .operators import apply_mr, mr_eigenvalue
 from .polyring import MultiPoly, VarSpace
-from .scalar import P_ZERO, QTScalar, S_ONE, S_ZERO, over_common_denominator
+from .scalar import (P_ONE, P_ZERO, QTPolynomial, QTScalar, S_ONE,
+                     over_common_denominator)
 from .symfun import (SymExpansion, from_monomial_expansion, monomial_symmetric,
                      monomial_to_power_expansion,
                      qt_ratio_automorphism, restrict_p_expansion,
@@ -86,51 +88,36 @@ def branching_coefficients(lam):
     """The one-variable branching weights of P_lam.
 
     Peeling the first variable writes P_lam as a sum over horizontal strips
-    lam/mu of psi_{lam/mu} z1^{|lam/mu|} P_mu(rest).  In l(lam) + 1 variables
-    the coefficient of z1^a m_nu(rest) in P_lam is u_kappa, kappa being nu
-    with one part a added (a = 0 only when l(kappa) <= l(lam)), so each
-    z1-slice is read straight off the m-expansion; the weights are then
-    peeled off the slices, so they are consistent with this library's
-    normalization by construction.
+    lam/mu of psi_{lam/mu} z1^{|lam/mu|} P_mu(rest).  psi_{lam/mu} is
+    Macdonald's closed form (SFHP VI (6.24)(ii)) with t replaced by 1/t:
+    the product of b_mu(s)/b_lam(s) over the boxes s in a row meeting
+    lam/mu and in no column meeting it, reduced once.
     """
     return _branching_coefficients(pt.as_partition(lam))
 
 
+def _b(lam, box):
+    """b_lam(s) of SFHP VI (6.14) with t replaced by 1/t, cleared to Z[q, t]:
+    the pair (t^{l+1} - q^a, t^{l+1} - q^{a+1} t)."""
+    a, l, _, _ = pt.arm_leg(lam, box)
+    tl = QTPolynomial.monomial(0, l + 1)
+    return tl - QTPolynomial.monomial(a, 0), tl - QTPolynomial.monomial(a + 1, 1)
+
+
 @cache
 def _branching_coefficients(lam):
-    if not lam:
-        return {(): S_ONE}
-    n = len(lam)
-    by_power = {}  # a -> {nu: coefficient of z1^a m_nu(z2, ..., z_{n+1})}
-    for kappa, c in macdonald_m_expansion(lam, n + 1).items():
-        removed = {a: kappa[:i] + kappa[i + 1:] for i, a in enumerate(kappa)}
-        if len(kappa) <= n:
-            removed[0] = kappa
-        for a, nu in removed.items():
-            by_power.setdefault(a, {})[nu] = c
-    strips = pt.horizontal_strips_below(lam)
     out = {}
-    for a, expr in by_power.items():
-        cands = sorted((mu for mu in strips if pt.weight(lam) - pt.weight(mu) == a),
-                       reverse=True)
-        for mu in cands:
-            psi = expr.pop(mu, S_ZERO)
-            out[mu] = psi
-            if psi.is_zero():
-                continue
-            for nu, c in macdonald_m_expansion(mu, n).items():
-                if nu == mu:
-                    continue
-                s = expr.get(nu, S_ZERO) - psi * c
-                if s.is_zero():
-                    expr.pop(nu, None)
-                else:
-                    expr[nu] = s
-        if any(not c.is_zero() for c in expr.values()):
-            raise MacruiError(
-                f"branching extraction of {lam} left unmatched terms at power {a}")
-    for mu in strips:
-        out.setdefault(mu, S_ZERO)
+    for mu in pt.horizontal_strips_below(lam):
+        skew = strip_boxes(lam, mu)
+        cols = {j for _, j in skew}
+        num = den = P_ONE
+        for i in dict.fromkeys(i for i, _ in skew):
+            for j in range(1, pt.part(mu, i) + 1):
+                if j not in cols:
+                    (mnum, mden), (lnum, lden) = _b(mu, (i, j)), _b(lam, (i, j))
+                    num = num * mnum * lden
+                    den = den * mden * lnum
+        out[mu] = QTScalar(num, den)
     return out
 
 
@@ -182,8 +169,6 @@ class ReverseTableau:
         w = S_ONE
         for a, b in zip(self.chain, self.chain[1:]):
             w = w * branching_coefficients(a)[b]
-            if w.is_zero():
-                break
         return w
 
     def __repr__(self):
@@ -214,9 +199,7 @@ def skew_tableau_sum(lam, mu, N):
     space = VarSpace.z(N)
     total = MultiPoly.zero(space)
     for tab in reverse_tableaux(lam, N, base=mu):
-        w = tab.weight_in_chain()
-        if not w.is_zero():
-            total = total + MultiPoly._raw(space, {tab.exponents(): w})
+        total = total + MultiPoly._raw(space, {tab.exponents(): tab.weight_in_chain()})
     return total
 
 
@@ -292,11 +275,9 @@ def bitableau_weight(tab):
     ratio of the inner shape.  The overall sign was pinned against the
     restriction homomorphism: it is +1 for every shape tested.
     """
-    mu = tab.inner
-    ratio = pt.hook_product(mu) / pt.hook_product(pt.conjugate(mu)).swap_qt()
     return (tab.unprimed.weight_in_chain()
             * tab.primed_conjugate.weight_in_chain().swap_qt()
-            * ratio)
+            * pt.hook_ratio(tab.inner))
 
 
 def super_tableau_sum(lam, n, m):
@@ -308,10 +289,8 @@ def super_tableau_sum(lam, n, m):
     space = VarSpace.xy(n, m)
     total = MultiPoly.zero(space)
     for tab in bitableaux(lam, n, m):
-        w = bitableau_weight(tab)
-        if not w.is_zero():
-            e = tab.unprimed.exponents() + tab.primed_conjugate.exponents()
-            total = total + MultiPoly._raw(space, {e: w})
+        e = tab.unprimed.exponents() + tab.primed_conjugate.exponents()
+        total = total + MultiPoly._raw(space, {e: bitableau_weight(tab)})
     return total
 
 
@@ -325,7 +304,7 @@ def parameter_duality_sign(lam):
     """
     lam = pt.as_partition(lam)
     lhs = qt_ratio_automorphism(macdonald_p_expansion(lam))
-    ratio = pt.hook_product(lam) / pt.hook_product(pt.conjugate(lam)).swap_qt()
+    ratio = pt.hook_ratio(lam)
     rhs = {mu: c.swap_qt() * ratio
            for mu, c in macdonald_p_expansion(pt.conjugate(lam)).coeffs.items()}
     if set(lhs.coeffs) != set(rhs):

@@ -105,6 +105,13 @@ def hook_product(lam):
     return prod
 
 
+def hook_ratio(lam):
+    """H(lambda) / H(lambda') with q and t exchanged in the denominator: the
+    scalar relating P_lam and the interpolation polynomial of shape lambda to
+    their conjugates under the parameter swap."""
+    return hook_product(lam) / hook_product(conjugate(lam)).swap_qt()
+
+
 def in_fat_hook(lam, n, m):
     """True iff lambda_{n+1} <= m, i.e. the diagram fits the fat (n, m)-hook."""
     if n < 0 or m < 0:

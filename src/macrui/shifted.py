@@ -134,13 +134,9 @@ def _interp_branching_raw(lam, N):
     space = VarSpace.z(N)
     if N == 0:
         return MultiPoly.one(space) if not lam else MultiPoly.zero(space)
-    bc = branching_coefficients(lam)
     total = MultiPoly.zero(space)
     z1 = MultiPoly.variable(space, 0)
-    for mu in pt.horizontal_strips_below(lam):
-        psi = bc[mu]
-        if psi.is_zero():
-            continue
+    for mu, psi in branching_coefficients(lam).items():
         factor = MultiPoly.one(space)
         for box in strip_boxes(lam, mu):
             factor = factor * (z1 - MultiPoly.constant(space, _box_node(box)))
@@ -165,10 +161,7 @@ def interpolation_tableau_sum(lam, N):
     space = VarSpace.z(N)
     total = MultiPoly.zero(space)
     for tab in reverse_tableaux(lam, N):
-        w = tab.weight_in_chain()
-        if w.is_zero():
-            continue
-        term = MultiPoly.constant(space, w)
+        term = MultiPoly.constant(space, tab.weight_in_chain())
         for box, entry in tab.entries.items():
             factor = (MultiPoly.variable(space, entry - 1)
                       - MultiPoly.constant(space, _box_node(box)))
@@ -195,9 +188,8 @@ def _duality_holds(lam, mu, values):
     """The duality for one pair, its values looked up in ``values``: a map
     (shape, point) -> ``interpolation_value`` holding (lam, mu) and
     (lam', mu')."""
-    lamc = pt.conjugate(lam)
-    ratio = pt.hook_product(lam) / pt.hook_product(lamc).swap_qt()
-    return values[lam, mu] == ratio * values[lamc, pt.conjugate(mu)].swap_qt()
+    return (values[lam, mu]
+            == pt.hook_ratio(lam) * values[pt.conjugate(lam), pt.conjugate(mu)].swap_qt())
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +232,7 @@ def shifted_super_tableau_sum(lam, n, m):
     tn = t_pow(n)
     total = MultiPoly.zero(space)
     for tab in bitableaux(lam, n, m):
-        w = bitableau_weight(tab)
-        if w.is_zero():
-            continue
-        term = MultiPoly.constant(space, w)
+        term = MultiPoly.constant(space, bitableau_weight(tab))
         for box, entry in tab.unprimed.entries.items():
             factor = (MultiPoly.variable(space, entry - 1)
                       - MultiPoly.constant(space, _box_node(box)))

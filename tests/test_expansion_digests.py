@@ -4,8 +4,8 @@ The sha256 digests of the sorted-key JSON of each coefficient map were
 recorded when every variable count N ran its own triangular solve with the
 operator in N variables, and when the branching weights were read from P_lam
 rendered as a polynomial in l(lam) + 1 variables.  One solve per shape for
-every N >= |lam|, and branching read off the m-expansion, must keep every
-output byte-identical.
+every N >= |lam|, and branching weights from Macdonald's closed form psi,
+must keep every output byte-identical.
 """
 
 import hashlib

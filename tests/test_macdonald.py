@@ -5,7 +5,7 @@ import pytest
 from macrui import partitions as pt
 from macrui.errors import InvalidPartitionError
 from macrui.linalg import vectors_rank
-from macrui import macdonald
+from macrui import macdonald, operators
 from macrui.macdonald import (bitableaux, branching_coefficients,
                               macdonald_m_expansion, macdonald_p_expansion,
                               macdonald_polynomial,
@@ -14,7 +14,7 @@ from macrui.macdonald import (bitableaux, branching_coefficients,
                               super_macdonald, super_tableau_sum)
 from macrui.operators import apply_deformed_mr, mr_eigenvalue
 from macrui.polyring import MultiPoly, VarSpace
-from macrui.scalar import S_ONE, S_Q, S_T, S_ZERO, qt_monomial, qt_ratio
+from macrui.scalar import S_ONE, S_Q, S_T, S_ZERO, qt_ratio
 from macrui.symfun import monomial_symmetric, to_monomial_expansion
 
 
@@ -90,44 +90,34 @@ def _branching_by_rendering(lam):
     return out
 
 
-def _b(lam, box):
-    """b_lam(s) of SFHP VI (6.14) with t replaced by 1/t:
-    (1 - q^a t^-(l+1)) / (1 - q^(a+1) t^-l); 1 for a box outside lam."""
-    i, j = box
-    if j > pt.part(lam, i):
-        return S_ONE
-    a, l, _, _ = pt.arm_leg(lam, box)
-    return (1 - qt_monomial(a, -(l + 1))) / (1 - qt_monomial(a + 1, -l))
-
-
-def _psi_closed_form(lam, mu):
-    """psi_{lam/mu} of SFHP VI (6.24)(ii) with t replaced by 1/t: the product
-    of b_mu(s)/b_lam(s) over the boxes s in a row, and not in a column,
-    that meets lam/mu."""
-    skew = [(i, j) for i, j in pt.boxes(lam) if j > pt.part(mu, i)]
-    rows, cols = {i for i, _ in skew}, {j for _, j in skew}
-    psi = S_ONE
-    for i, j in pt.boxes(lam):
-        if i in rows and j not in cols:
-            psi = psi * _b(mu, (i, j)) / _b(lam, (i, j))
-    return psi
-
-
-def test_branching_coefficients_are_macdonalds_psi_with_t_inverted():
-    # the library's P_lam is Macdonald's P_lam(x; q, 1/t)
+def test_closed_form_branching_matches_rendering():
+    # the closed form psi against the weights peeled off P_lam rendered in
+    # l(lam) + 1 variables; the library's P_lam is Macdonald's P_lam(x; q, 1/t)
     pairs = 0
-    for d in range(1, 6):
+    for d in range(8):
         for lam in pt.partitions_of(d):
-            for mu, psi in branching_coefficients(lam).items():
-                assert psi == _psi_closed_form(lam, mu), (lam, mu)
-                pairs += 1
-    assert pairs == 73
+            reference = _branching_by_rendering(lam)
+            assert branching_coefficients(lam) == reference, lam
+            pairs += len(reference)
+    assert pairs == 249
 
 
-def test_branching_read_off_expansion_matches_rendering():
-    for d in range(6):
-        for lam in pt.partitions_of(d):
-            assert branching_coefficients(lam) == _branching_by_rendering(lam), lam
+def test_branching_does_not_use_the_construction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("branching reached the construction")
+
+    macdonald._branching_coefficients.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(macdonald, "macdonald_m_expansion", refuse)
+            patch.setattr(macdonald, "_macdonald_m_expansion", refuse)
+            patch.setattr(operators, "apply_mr_detailed", refuse)
+            for lam in pt.partitions_of(5):
+                branching_coefficients(lam)
+            tableau = macdonald_tableau_sum((3, 1), 3)
+        assert tableau == macdonald_polynomial((3, 1), 3)
+    finally:
+        macdonald._branching_coefficients.cache_clear()
 
 
 def test_m_expansion_truncates_in_the_variable_count():
