@@ -41,12 +41,11 @@ from .operators import (OperatorResult, apply_deformed_mr,
                         apply_mr_detailed, cherednik_dunkl, cycle_shift,
                         coefficient_sum_identity, hecke_T, hecke_T_inv,
                         mr_eigenvalue, operator_from_shifted_symmetric)
-from .macdonald import (Bitableau, ReverseTableau, bitableaux,
-                        branching_coefficients, macdonald_m_expansion,
-                        macdonald_p_expansion, macdonald_polynomial,
-                        macdonald_tableau_sum, parameter_duality_sign,
-                        reverse_tableaux, skew_tableau_sum, super_macdonald,
-                        super_tableau_sum)
+from .macdonald import (ReverseTableau, branching_coefficients,
+                        macdonald_m_expansion, macdonald_p_expansion,
+                        macdonald_polynomial, macdonald_tableau_sum,
+                        parameter_duality_sign, reverse_tableaux,
+                        skew_tableau_sum, super_macdonald, super_tableau_sum)
 
 # The interpolation layer and the verify suites construct nothing the other
 # layers need, so ``import macrui`` leaves them out: each of these names loads

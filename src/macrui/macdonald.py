@@ -9,8 +9,11 @@ N >= |lam| shares the one solve at N = |lam|, and an N-variable polynomial
 is a rendering of that expansion.  The branching coefficients are
 Macdonald's closed form psi (SFHP VI (6.24)(ii)) with t replaced by 1/t and
 do not use that construction, so every tableau formula downstream is an
-independent check of it.  The two-alphabet (super) polynomial is the image
-under the restriction homomorphism computed through the power-sum basis.
+independent check of it.  One memoized recursion sums every tableau formula
+by peeling the strip that holds letter 1 (SFHP VI (7.13')); the bitableau
+sums group their fillings by the inner shape.  The two-alphabet (super)
+polynomial is the image under the restriction homomorphism computed through
+the power-sum basis.
 """
 
 from functools import cache
@@ -18,9 +21,9 @@ from functools import cache
 from .errors import InvalidPartitionError, MacruiError
 from . import partitions as pt
 from .operators import apply_mr, mr_eigenvalue
-from .polyring import MultiPoly, VarSpace
+from .polyring import MultiPoly, VarSpace, _add_into
 from .scalar import (P_ONE, P_ZERO, QTPolynomial, QTScalar, S_ONE,
-                     over_common_denominator)
+                     over_common_denominator, qt_monomial, t_pow)
 from .symfun import (SymExpansion, from_monomial_expansion, monomial_symmetric,
                      monomial_to_power_expansion,
                      qt_ratio_automorphism, restrict_p_expansion,
@@ -158,12 +161,6 @@ class ReverseTableau:
                 entries[box] = k + 1
         self.entries = entries
 
-    def exponents(self):
-        """The exponent vector of prod_s x_{T(s)}: entry k occurs
-        |chain[k-1]| - |chain[k]| times."""
-        return tuple(pt.weight(a) - pt.weight(b)
-                     for a, b in zip(self.chain, self.chain[1:]))
-
     def weight_in_chain(self):
         """Product of branching weights along the chain."""
         w = S_ONE
@@ -185,6 +182,47 @@ def reverse_tableaux(shape, max_entry, base=()):
         yield ReverseTableau(shape, base, chain)
 
 
+def _box_node(box, shift=0):
+    """The interpolation node q^{a'(s) + shift} t^{l'(s)} of the box s = (i, j)."""
+    i, j = box
+    return qt_monomial(j - 1 + shift, i - 1)
+
+
+@cache
+def _strip_sum(outer, inner, N, shift):
+    """The reverse-tableau sum on outer/inner with entries 1..N, as a z-space
+    polynomial, by peeling letter 1 first (SFHP VI (7.13')).
+
+    Letter 1 fills a horizontal strip outer/kappa, kappa containing inner,
+    weighted by psi_{outer/kappa}; the other letters fill kappa/inner.  With
+    ``shift`` None the strip contributes z1^{|outer/kappa|}: the Macdonald
+    tableau sum.  Otherwise each of its boxes contributes
+    (z1 - q^shift * node), and each peel t^{|kappa/inner|}, so that a box
+    holding entry k carries t^{k-1}: the interpolation tableau sum.
+    """
+    space = VarSpace.z(N)
+    if N == 0:
+        return MultiPoly.one(space) if outer == inner else MultiPoly.zero(space)
+    z1 = MultiPoly.variable(space, 0)
+    total = MultiPoly.zero(space)
+    for kappa, psi in branching_coefficients(outer).items():
+        if not pt.contains(inner, kappa):
+            continue
+        tail = _strip_sum(kappa, inner, N - 1, shift)
+        if tail.is_zero():
+            continue
+        if shift is None:
+            factor = MultiPoly.variable(space, 0, pt.weight(outer) - pt.weight(kappa))
+        else:
+            factor = MultiPoly.one(space)
+            for box in strip_boxes(outer, kappa):
+                factor = factor * (z1 - MultiPoly.constant(space, _box_node(box, shift)))
+            psi = psi * t_pow(pt.weight(kappa) - pt.weight(inner))
+        lifted = MultiPoly._raw(space, {(0,) + e: c for e, c in tail.terms.items()})
+        total = total + (factor * lifted).scale(psi)
+    return total
+
+
 def macdonald_tableau_sum(lam, N):
     """P_lam assembled from the tableau formula: sum over reverse tableaux
     of the chain weight times prod_s x_{T(s)}."""
@@ -196,11 +234,33 @@ def skew_tableau_sum(lam, mu, N):
     lam, mu = pt.as_partition(lam), pt.as_partition(mu)
     if not pt.contains(mu, lam):
         raise InvalidPartitionError(f"{mu} is not contained in {lam}")
-    space = VarSpace.z(N)
-    total = MultiPoly.zero(space)
-    for tab in reverse_tableaux(lam, N, base=mu):
-        total = total + MultiPoly._raw(space, {tab.exponents(): tab.weight_in_chain()})
-    return total
+    return _strip_sum(lam, mu, N, None)
+
+
+def _inner_shape_sum(lam, n, m, xshift, yshift):
+    """A two-alphabet tableau sum grouped by the inner shape mu of lam.
+
+    The unprimed letters fill lam/mu and the primed letters mu, read as a
+    reverse tableau on mu' with q and t exchanged:
+    sum_mu hook_ratio(mu) X(lam/mu) swap_qt(Y(mu')), with X and Y the strip
+    sums in n and m letters at ``xshift`` and ``yshift``.  The sign in front
+    of the hook ratio was pinned against the restriction homomorphism: it is
+    +1 for every shape tested.
+    """
+    lam = pt.as_partition(lam)
+    if not pt.in_fat_hook(lam, n, m):
+        raise InvalidPartitionError(f"{lam} is outside the fat ({n}, {m})-hook")
+    terms = {}
+    for mu in pt.subpartitions(lam):
+        x = _strip_sum(lam, mu, n, xshift)
+        if x.is_zero():
+            continue
+        y = _strip_sum(pt.conjugate(mu), (), m, yshift).swap_parameters()
+        ratio = pt.hook_ratio(mu)
+        for ey, cy in y.terms.items():
+            cy = cy * ratio
+            _add_into(terms, {ex + ey: cx * cy for ex, cx in x.terms.items()})
+    return MultiPoly._raw(VarSpace.xy(n, m), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -232,66 +292,11 @@ def super_macdonald(lam, n, m):
     return restrict_p_expansion(macdonald_p_expansion(lam), n, m)
 
 
-class Bitableau:
-    """A two-alphabet filling: an inner shape mu carries the primed alphabet
-    (transposed to an ordinary reverse tableau on mu'), the skew shape
-    lam/mu carries the unprimed alphabet."""
-
-    __slots__ = ("shape", "inner", "unprimed", "primed_conjugate")
-
-    def __init__(self, shape, inner, unprimed, primed_conjugate):
-        self.shape = shape
-        self.inner = inner
-        self.unprimed = unprimed              # ReverseTableau on shape/inner
-        self.primed_conjugate = primed_conjugate  # ReverseTableau on inner'
-
-    def primed_entries(self):
-        """Entries of the primed part as a map box-of-inner -> alphabet index."""
-        out = {}
-        for (i, j), v in self.primed_conjugate.entries.items():
-            out[(j, i)] = v
-        return out
-
-    def __repr__(self):
-        return (f"Bitableau(shape={self.shape}, inner={self.inner}, "
-                f"unprimed={self.unprimed.entries}, primed={self.primed_entries()})")
-
-
-def bitableaux(lam, n, m):
-    """All bitableaux of shape lam and type (n, m)."""
-    lam = pt.as_partition(lam)
-    for mu in pt.subpartitions(lam):
-        muc = pt.conjugate(mu)
-        for ytab in reverse_tableaux(muc, m):
-            for xtab in reverse_tableaux(lam, n, base=mu):
-                yield Bitableau(lam, mu, xtab, ytab)
-
-
-def bitableau_weight(tab):
-    """The measured weight of a bitableau in the two-alphabet tableau formula.
-
-    Product of the skew chain weight of the unprimed part, the chain weight
-    of the transposed primed part with the parameters exchanged, and the hook
-    ratio of the inner shape.  The overall sign was pinned against the
-    restriction homomorphism: it is +1 for every shape tested.
-    """
-    return (tab.unprimed.weight_in_chain()
-            * tab.primed_conjugate.weight_in_chain().swap_qt()
-            * pt.hook_ratio(tab.inner))
-
-
 def super_tableau_sum(lam, n, m):
-    """The two-alphabet polynomial assembled from bitableaux; agrees with
-    the restriction route for every diagram in the fat hook."""
-    lam = pt.as_partition(lam)
-    if not pt.in_fat_hook(lam, n, m):
-        raise InvalidPartitionError(f"{lam} is outside the fat ({n}, {m})-hook")
-    space = VarSpace.xy(n, m)
-    total = MultiPoly.zero(space)
-    for tab in bitableaux(lam, n, m):
-        e = tab.unprimed.exponents() + tab.primed_conjugate.exponents()
-        total = total + MultiPoly._raw(space, {e: bitableau_weight(tab)})
-    return total
+    """The two-alphabet polynomial as a bitableau sum, grouped by the inner
+    shape; agrees with the restriction route for every diagram in the fat
+    hook."""
+    return _inner_shape_sum(lam, n, m, None, None)
 
 
 def parameter_duality_sign(lam):

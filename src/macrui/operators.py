@@ -175,12 +175,11 @@ def apply_mr(f, block=None):
 
 
 def mr_eigenvalue(lam):
-    """(1/(1-q)) sum_i (q^{lambda_i} - 1) t^{i-1}; independent of the variable count."""
+    """(1/(1-q)) sum_i (q^{lambda_i} - 1) t^{i-1}; independent of the variable
+    count.  It is the polynomial -sum_i [lambda_i]_q t^{i-1}, built as such."""
     lam = pt.as_partition(lam)
-    num = QTPolynomial._raw({})
-    for i, p in enumerate(lam):
-        num = num + (QTPolynomial.monomial(p, i) - QTPolynomial.monomial(0, i))
-    return QTScalar(num, P_ONE - P_Q)
+    num = {(k, i): -1 for i, p in enumerate(lam) for k in range(p)}
+    return QTScalar._raw(QTPolynomial._raw(num), P_ONE)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ The reference construction solves the vanishing characterization directly:
 the interpolation polynomial of shape lambda is the shifted symmetric
 polynomial of degree |lambda| vanishing at every evaluation point q^mu with
 |mu| <= |lambda|, mu != lambda, and taking the hook-product value at its
-own point.  A one-variable branching recursion and a box-weighted tableau
-formula reproduce it; both carry an explicit monomial alignment factor
-because their intrinsic normalization differs from the hook normalization
-by q^{n(lam) - n(lam')} t^{n(lam') - n(lam)} (measured exactly, verified by
-the test suite).
+own point.  Two routes reproduce it: the one-variable branching recursion
+(the strip recursion shared with the Macdonald tableau sums) and an
+enumeration of box-weighted reverse tableaux.  Both carry an explicit
+monomial alignment factor because their intrinsic normalization differs
+from the hook normalization by q^{n(lam) - n(lam')} t^{n(lam') - n(lam)}
+(measured exactly, verified by the test suite).
 """
 
 from functools import cache
@@ -16,8 +17,8 @@ from functools import cache
 from .errors import InvalidPartitionError, SingularSystemError
 from . import partitions as pt
 from .linalg import solve_square
-from .macdonald import (bitableau_weight, bitableaux, branching_coefficients,
-                        reverse_tableaux, strip_boxes)
+from .macdonald import (_box_node, _inner_shape_sum, _strip_sum,
+                        reverse_tableaux)
 from .polyring import MultiPoly, VarSpace
 from .scalar import (P_ZERO, QTScalar, S_ONE, S_ZERO, over_common_denominator,
                      q_pow, qt_monomial, t_pow)
@@ -123,34 +124,11 @@ def evaluate_at_partition(f, mu):
 # branching recursion and tableau formula
 # ---------------------------------------------------------------------------
 
-def _box_node(box):
-    i, j = box
-    return qt_monomial(j - 1, i - 1)
-
-
-@cache
-def _interp_branching_raw(lam, N):
-    """One-variable peeling recursion, in its intrinsic normalization."""
-    space = VarSpace.z(N)
-    if N == 0:
-        return MultiPoly.one(space) if not lam else MultiPoly.zero(space)
-    total = MultiPoly.zero(space)
-    z1 = MultiPoly.variable(space, 0)
-    for mu, psi in branching_coefficients(lam).items():
-        factor = MultiPoly.one(space)
-        for box in strip_boxes(lam, mu):
-            factor = factor * (z1 - MultiPoly.constant(space, _box_node(box)))
-        tail = _interp_branching_raw(mu, N - 1)
-        lifted = MultiPoly._raw(space, {(0,) + e: c for e, c in tail.terms.items()})
-        total = total + (factor * lifted).scale(psi * t_pow(pt.weight(mu)))
-    return total
-
-
 def interpolation_by_branching(lam, N):
     """The interpolation polynomial through the peeling recursion, aligned
     to the hook normalization."""
     lam = pt.as_partition(lam)
-    return _interp_branching_raw(lam, N).scale(pt.normalization_alignment(lam))
+    return _strip_sum(lam, (), N, 0).scale(pt.normalization_alignment(lam))
 
 
 def interpolation_tableau_sum(lam, N):
@@ -217,29 +195,15 @@ def shifted_super_macdonald(lam, n, m):
 
 
 def shifted_super_tableau_sum(lam, n, m):
-    """The shifted two-alphabet polynomial as a bitableau sum.
+    """The shifted two-alphabet polynomial as a bitableau sum, grouped by
+    the inner shape.
 
     Unprimed boxes contribute (x_k - q^{a'} t^{l'}) t^{k-1}; primed boxes
     contribute (y_j - q^{a'} t^{l'} t^n) q^{j-1}, the extra t^n being the
     block offset of the evaluation points (pinned against the restriction
-    route).  The whole sum carries the same alignment factor as the other
+    route): the strip sum on mu' with nodes shifted by q^n, q and t then
+    exchanged.  The whole sum carries the same alignment factor as the other
     tableau formulas.
     """
     lam = pt.as_partition(lam)
-    if not pt.in_fat_hook(lam, n, m):
-        raise InvalidPartitionError(f"{lam} is outside the fat ({n}, {m})-hook")
-    space = VarSpace.xy(n, m)
-    tn = t_pow(n)
-    total = MultiPoly.zero(space)
-    for tab in bitableaux(lam, n, m):
-        term = MultiPoly.constant(space, bitableau_weight(tab))
-        for box, entry in tab.unprimed.entries.items():
-            factor = (MultiPoly.variable(space, entry - 1)
-                      - MultiPoly.constant(space, _box_node(box)))
-            term = term * factor.scale(t_pow(entry - 1))
-        for box, entry in tab.primed_entries().items():
-            factor = (MultiPoly.variable(space, n + entry - 1)
-                      - MultiPoly.constant(space, _box_node(box) * tn))
-            term = term * factor.scale(q_pow(entry - 1))
-        total = total + term
-    return total.scale(pt.normalization_alignment(lam))
+    return _inner_shape_sum(lam, n, m, 0, n).scale(pt.normalization_alignment(lam))

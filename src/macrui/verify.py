@@ -372,7 +372,7 @@ _WEIGHT_CEILINGS = {
     "kernel": 8,            # 25 s; weight 9 over 100 s
     "duality": 6,           # 26 s; weight 7 takes 314 s
     "vanishing": 5,         # 13 s; weight 6 over 150 s, mostly in the tableau sums
-    "combinatorial": 8,     # 27 s; weight 9 takes 75 s
+    "combinatorial": 9,     # 48 s; weight 10 takes 126 s
     "cherednik": 64,        # 0.3 s at every weight
     "identities": 64,       # 0.4 s at every weight
 }

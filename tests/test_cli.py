@@ -303,6 +303,12 @@ def test_verify_weight_three_totals_are_pinned():
               "vanishing": 32, "combinatorial": 55, "cherednik": 17,
               "identities": 32}
     assert set(totals) == set(SUITES)
+    # the benchmark's reference holds the same totals, so a change to a
+    # suite's families fails here before it fails the benchmark
+    reference = json.loads((Path(__file__).resolve().parent.parent
+                            / "bench" / "reference.json").read_text())["verify_w3"]
+    assert reference == {suite: {"ok": True, "total": total}
+                         for suite, total in totals.items()}
     for suite, total in totals.items():
         report = run_suite(suite, 3)
         assert report["ok"] and report["total"] == report["passed"] == total

@@ -56,6 +56,19 @@ def test_mr_eigenvalue_examples():
     assert mr_eigenvalue(()) == QTScalar.from_int(0)
 
 
+def test_mr_eigenvalue_matches_its_defining_form():
+    # built as the polynomial -sum_i [lam_i]_q t^{i-1}; the definition divides
+    # by 1 - q, and the reduced quotient must be the same pair of dicts
+    for d in range(9):
+        for lam in pt.partitions_of(d):
+            num = sum((QTPolynomial.monomial(p, i) - QTPolynomial.monomial(0, i)
+                       for i, p in enumerate(lam)), QTPolynomial.from_int(0))
+            defining = QTScalar(num, P_ONE - P_Q)
+            value = mr_eigenvalue(lam)
+            assert value == defining, lam
+            assert value.den.terms == P_ONE.terms
+
+
 def test_deformed_mr_examples():
     sp = VarSpace.xy(1, 1)
     x, y = MultiPoly.variable(sp, 0), MultiPoly.variable(sp, 1)
