@@ -41,10 +41,9 @@ from .operators import (OperatorResult, apply_deformed_mr,
                         apply_mr_detailed, cherednik_dunkl, cycle_shift,
                         coefficient_sum_identity, hecke_T, hecke_T_inv,
                         mr_eigenvalue, operator_from_shifted_symmetric)
-from .macdonald import (ReverseTableau, branching_coefficients,
-                        macdonald_m_expansion, macdonald_p_expansion,
-                        macdonald_polynomial, macdonald_tableau_sum,
-                        parameter_duality_sign, reverse_tableaux,
+from .macdonald import (branching_coefficients, macdonald_m_expansion,
+                        macdonald_p_expansion, macdonald_polynomial,
+                        macdonald_tableau_sum, parameter_duality_sign,
                         skew_tableau_sum, super_macdonald, super_tableau_sum)
 
 # The interpolation layer and the verify suites construct nothing the other
@@ -54,9 +53,9 @@ from .macdonald import (ReverseTableau, branching_coefficients,
 _LAZY = {
     **dict.fromkeys(("duality_check", "evaluate_at_partition", "fat_hook_point",
                      "interpolation_by_branching", "interpolation_polynomial",
-                     "interpolation_pstar_expansion", "interpolation_tableau_sum",
-                     "interpolation_value", "shifted_super_macdonald",
-                     "shifted_super_tableau_sum", "shifted"), "shifted"),
+                     "interpolation_pstar_expansion", "interpolation_value",
+                     "shifted_super_macdonald", "shifted_super_tableau_sum",
+                     "shifted"), "shifted"),
     **dict.fromkeys(("SUITES", "run_suite", "verify"), "verify"),
 }
 

@@ -18,7 +18,7 @@ from .macdonald import (macdonald_polynomial, macdonald_tableau_sum,
                         skew_tableau_sum, super_macdonald, super_tableau_sum)
 from .operators import apply_deformed_mr, apply_mr, mr_eigenvalue
 from .shifted import (evaluate_at_partition, fat_hook_point,
-                      interpolation_polynomial, interpolation_tableau_sum,
+                      interpolation_by_branching, interpolation_polynomial,
                       shifted_super_macdonald, shifted_super_tableau_sum)
 from .symfun import monomial_symmetric
 from .verify import SUITES, _WEIGHT_CEILINGS, run_suite
@@ -202,7 +202,7 @@ def _run(args):
         lam = parse_partition(args.lam)
         N = args.N if args.N is not None else max(pt.weight(lam), len(lam), 1)
         f = (interpolation_polynomial(lam, N) if verb == "shifted"
-             else interpolation_tableau_sum(lam, N))
+             else interpolation_by_branching(lam, N))
         return _poly_result({"verb": verb, "lambda": list(lam), "N": N}, f, args)
 
     if verb in ("shifted-super", "shifted-super-comb"):

@@ -1,18 +1,16 @@
-"""Deterministic JSON forms of scalars, polynomials, and expansions.
+"""Deterministic JSON forms of scalars and polynomials.
 
 Scalars serialize numerator and denominator as lists of
 [q_exponent, t_exponent, coefficient-as-decimal-string] triples sorted by
 (q_exponent, t_exponent); polynomials as a term list of {"exp", "coeff"}
-with exponents in block order; partitions as plain integer arrays.  All
-emitters sort, so equal values produce identical bytes.  The readers check
-the schema and raise MalformedInputError on input that does not match it.
+with exponents in block order.  All emitters sort, so equal values produce
+identical bytes.  The readers check the schema and raise
+MalformedInputError on input that does not match it.
 """
 
 from .errors import MalformedInputError
-from .partitions import as_partition
 from .polyring import MultiPoly, VarSpace
 from .scalar import QTPolynomial, QTScalar
-from .symfun import SymExpansion
 
 
 def _field(data, key, what):
@@ -100,22 +98,6 @@ def poly_from_json(data):
             raise MalformedInputError(f"exponent vector {list(exp)} does not fit {space!r}")
         terms[exp] = scalar_from_json(_field(t, "coeff", "a term"))
     return MultiPoly(space, terms)
-
-
-def expansion_to_json(e):
-    terms = [{"partition": list(lam), "coeff": scalar_to_json(c)}
-             for lam, c in sorted(e.coeffs.items())]
-    return {"basis": e.basis, "N": e.N, "terms": terms}
-
-
-def expansion_from_json(data):
-    coeffs = {}
-    for t in _array(_field(data, "terms", "an expansion"), "expansion terms"):
-        parts = _array(_field(t, "partition", "a term"), "a partition")
-        lam = as_partition(_int(x, "a part", 1) for x in parts)
-        coeffs[lam] = scalar_from_json(_field(t, "coeff", "a term"))
-    return SymExpansion(_field(data, "basis", "an expansion"),
-                        _int(_field(data, "N", "an expansion"), "N", 0), coeffs)
 
 
 def poly_to_json_at(f, q0, t0):

@@ -28,28 +28,35 @@ def _row_reduce(rows, ncols):
     return pivots
 
 
-def solve_square(matrix, rhs):
-    """Solve A x = b exactly by Gaussian elimination with nonzero pivoting.
+def solve_square(matrix, columns):
+    """Solve A x = b exactly for every right-hand side b in ``columns``, by
+    one Gauss-Jordan pass with nonzero pivoting.
 
-    ``matrix`` is a list of rows of QTScalar; ``rhs`` a list of QTScalar.
-    Raises SingularSystemError when no unique solution exists.
+    ``matrix`` is a list of rows of QTScalar; each column a list of
+    QTScalar.  Returns one solution per column.  Raises SingularSystemError
+    when no unique solution exists.
 
-    The right-hand side is put over one common denominator L first, the
-    elimination runs on its numerators, and each unknown is divided by L
-    once at the end: over an integer matrix every step then meets integer
-    denominators only.
+    Each column is put over its own common denominator L first, the
+    elimination runs on the numerators, and each unknown is divided by its
+    column's L once at the end: over an integer matrix every step then meets
+    integer denominators only.
     """
     n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
+    if any(len(row) != n for row in matrix) or any(len(b) != n for b in columns):
         raise ValueError("solve_square needs a square system")
-    nums, den = over_common_denominator(rhs)
-    a = [list(row) + [QTScalar._raw(nums[i], P_ONE)] for i, row in enumerate(matrix)]
+    cleared = [over_common_denominator(b) for b in columns]
+    a = [list(row) + [QTScalar._raw(nums[i], P_ONE) for nums, _ in cleared]
+         for i, row in enumerate(matrix)]
     if len(_row_reduce(a, n)) < n:
         raise SingularSystemError("the system has no unique solution")
-    if den is P_ONE:
-        return [a[i][n] for i in range(n)]
-    inv = QTScalar._raw(P_ONE, den)
-    return [a[i][n] * inv for i in range(n)]
+    solutions = []
+    for k, (_, den) in enumerate(cleared, start=n):
+        x = [a[i][k] for i in range(n)]
+        if den is not P_ONE:
+            inv = QTScalar._raw(P_ONE, den)
+            x = [v * inv for v in x]
+        solutions.append(x)
+    return solutions
 
 
 def rank(matrix):

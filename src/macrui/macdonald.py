@@ -21,7 +21,7 @@ from functools import cache
 from .errors import InvalidPartitionError, MacruiError
 from . import partitions as pt
 from .operators import apply_mr, mr_eigenvalue
-from .polyring import MultiPoly, VarSpace, _add_into
+from .polyring import MultiPoly, VarSpace, _add_into, linear_combination
 from .scalar import (P_ONE, P_ZERO, QTPolynomial, QTScalar, S_ONE,
                      over_common_denominator, qt_monomial, t_pow)
 from .symfun import (SymExpansion, from_monomial_expansion, monomial_symmetric,
@@ -124,18 +124,6 @@ def _branching_coefficients(lam):
     return out
 
 
-def _shape_chains(top, steps, bottom):
-    """Chains top = s_0 >= s_1 >= ... >= s_steps = bottom of horizontal strips."""
-    if steps == 0:
-        if top == bottom:
-            yield (top,)
-        return
-    for nxt in pt.horizontal_strips_below(top):
-        if pt.contains(bottom, nxt):
-            for rest in _shape_chains(nxt, steps - 1, bottom):
-                yield (top,) + rest
-
-
 def strip_boxes(outer, inner):
     """Boxes of outer/inner, row by row."""
     out = []
@@ -143,43 +131,6 @@ def strip_boxes(outer, inner):
         for j in range(pt.part(inner, i) + 1, pt.part(outer, i) + 1):
             out.append((i, j))
     return out
-
-
-class ReverseTableau:
-    """A filling of a (skew) diagram with entries decreasing strictly down
-    columns and weakly along rows, represented through its strip chain."""
-
-    __slots__ = ("shape", "base", "chain", "entries")
-
-    def __init__(self, shape, base, chain):
-        self.shape = shape
-        self.base = base
-        self.chain = chain  # chain[k]/chain[k+1] holds entry k+1
-        entries = {}
-        for k in range(len(chain) - 1):
-            for box in strip_boxes(chain[k], chain[k + 1]):
-                entries[box] = k + 1
-        self.entries = entries
-
-    def weight_in_chain(self):
-        """Product of branching weights along the chain."""
-        w = S_ONE
-        for a, b in zip(self.chain, self.chain[1:]):
-            w = w * branching_coefficients(a)[b]
-        return w
-
-    def __repr__(self):
-        return f"ReverseTableau(shape={self.shape}, base={self.base}, entries={self.entries})"
-
-
-def reverse_tableaux(shape, max_entry, base=()):
-    """All reverse tableaux on shape/base with entries in 1..max_entry."""
-    shape = pt.as_partition(shape)
-    base = pt.as_partition(base)
-    if not pt.contains(base, shape):
-        raise InvalidPartitionError(f"{base} is not contained in {shape}")
-    for chain in _shape_chains(shape, max_entry, base):
-        yield ReverseTableau(shape, base, chain)
 
 
 def _box_node(box, shift=0):
@@ -204,7 +155,7 @@ def _strip_sum(outer, inner, N, shift):
     if N == 0:
         return MultiPoly.one(space) if outer == inner else MultiPoly.zero(space)
     z1 = MultiPoly.variable(space, 0)
-    total = MultiPoly.zero(space)
+    pairs = []
     for kappa, psi in branching_coefficients(outer).items():
         if not pt.contains(inner, kappa):
             continue
@@ -218,9 +169,15 @@ def _strip_sum(outer, inner, N, shift):
             for box in strip_boxes(outer, kappa):
                 factor = factor * (z1 - MultiPoly.constant(space, _box_node(box, shift)))
             psi = psi * t_pow(pt.weight(kappa) - pt.weight(inner))
-        lifted = MultiPoly._raw(space, {(0,) + e: c for e, c in tail.terms.items()})
-        total = total + (factor * lifted).scale(psi)
-    return total
+        # the tail over its common denominator, so that the level is one
+        # cleared sum of denominator-free polynomials
+        nums, den = over_common_denominator(tail.terms.values())
+        lifted = MultiPoly._raw(space, {(0,) + e: QTScalar._raw(num, P_ONE)
+                                        for e, num in zip(tail.terms, nums)})
+        if den is not P_ONE:
+            psi = psi * QTScalar._raw(P_ONE, den)
+        pairs.append((psi, factor * lifted))
+    return linear_combination(space, pairs)
 
 
 def macdonald_tableau_sum(lam, N):

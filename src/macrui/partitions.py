@@ -169,16 +169,6 @@ def subpartitions(lam):
     return sorted(set(results), reverse=True)
 
 
-def is_horizontal_strip(lam, mu):
-    """True iff mu <= lam and lam/mu has at most one box per column."""
-    if not contains(mu, lam):
-        return False
-    for i in range(1, len(lam) + 1):
-        if not (part(lam, i + 1) <= part(mu, i) <= part(lam, i)):
-            return False
-    return True
-
-
 def horizontal_strips_below(lam):
     """All mu with lam/mu a horizontal strip, i.e. lam_{i+1} <= mu_i <= lam_i."""
     if not lam:

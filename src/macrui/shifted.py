@@ -4,12 +4,13 @@ The reference construction solves the vanishing characterization directly:
 the interpolation polynomial of shape lambda is the shifted symmetric
 polynomial of degree |lambda| vanishing at every evaluation point q^mu with
 |mu| <= |lambda|, mu != lambda, and taking the hook-product value at its
-own point.  Two routes reproduce it: the one-variable branching recursion
-(the strip recursion shared with the Macdonald tableau sums) and an
-enumeration of box-weighted reverse tableaux.  Both carry an explicit
-monomial alignment factor because their intrinsic normalization differs
-from the hook normalization by q^{n(lam) - n(lam')} t^{n(lam') - n(lam)}
-(measured exactly, verified by the test suite).
+own point.  Every shape of one weight shares the vanishing matrix, so the
+system is solved once per weight, with one right-hand side per shape.  The
+one-variable branching recursion (the strip recursion shared with the
+Macdonald tableau sums) reproduces it.  It carries an explicit monomial
+alignment factor because its intrinsic normalization differs from the hook
+normalization by q^{n(lam) - n(lam')} t^{n(lam') - n(lam)} (measured
+exactly, verified by the test suite).
 """
 
 from functools import cache
@@ -17,30 +18,28 @@ from functools import cache
 from .errors import InvalidPartitionError, SingularSystemError
 from . import partitions as pt
 from .linalg import solve_square
-from .macdonald import (_box_node, _inner_shape_sum, _strip_sum,
-                        reverse_tableaux)
-from .polyring import MultiPoly, VarSpace
+from .macdonald import _inner_shape_sum, _strip_sum
 from .scalar import (P_ZERO, QTScalar, S_ONE, S_ZERO, over_common_denominator,
                      q_pow, qt_monomial, t_pow)
 from .symfun import (SymExpansion, from_shifted_power_expansion,
                      restrict_shifted_expansion)
 
 
-def _pstar_value(r, nu):
-    """Value of the r-th shifted power sum at the point q^nu."""
-    s = S_ZERO
-    for i, p in enumerate(nu):
-        s = s + qt_monomial(r * p, r * i) - t_pow(r * i)
-    return s
-
-
-def _pstar_product_value(mu, nu):
-    v = S_ONE
-    for r in mu:
-        v = v * _pstar_value(r, nu)
-        if v.is_zero():
-            break
-    return v
+def _pstar_products(basis, nu):
+    """The values p*_mu(q^nu) for mu in ``basis``.  Each shifted power sum
+    p*_r(q^nu) = sum_i (q^{r nu_i} - 1) t^{r(i-1)} is computed once, and the
+    products are formed from those values."""
+    top = max((mu[0] for mu in basis if mu), default=0)
+    single = [S_ONE] + [sum((qt_monomial(r * p, r * i) - t_pow(r * i)
+                             for i, p in enumerate(nu)), S_ZERO)
+                        for r in range(1, top + 1)]
+    values = []
+    for mu in basis:
+        v = S_ONE
+        for r in mu:
+            v = v * single[r]
+        values.append(v)
+    return values
 
 
 def _check_variable_count(lam, N):
@@ -56,28 +55,34 @@ def interpolation_pstar_expansion(lam):
     """The p*-expansion of the interpolation polynomial of shape lambda.
 
     The vanishing system does not depend on the variable count, so it is
-    solved once per shape; the test suite checks the result against the
+    solved once per weight; the test suite checks the result against the
     expansion recovered from the polynomial at |lambda| and |lambda| + 1
     variables.
     """
-    return _interpolation(pt.as_partition(lam))[0]
+    lam = pt.as_partition(lam)
+    return _interpolations(pt.weight(lam))[lam][0]
 
 
 @cache
-def _interpolation(lam):
-    """The p*-expansion of shape lambda, and its coefficients cleared over one
-    common denominator (numerators in the expansion's order, and the
-    denominator): the form that ``interpolation_value`` sums."""
+def _interpolations(d):
+    """For each shape lambda of weight d, its p*-expansion and the
+    coefficients cleared over one common denominator (numerators in the
+    expansion's order, and the denominator): the form that
+    ``interpolation_value`` sums."""
     # the square collocation system: the unknowns are the shifted power-sum
-    # products of weight at most |lam|, the conditions the values at every
-    # point q^nu of weight at most |lam|: zero away from lam, the hook
-    # product on it
-    basis = pt.partitions_up_to(pt.weight(lam))
-    matrix = [[_pstar_product_value(mu, nu) for mu in basis] for nu in basis]
-    rhs = [pt.hook_product(lam) if nu == lam else S_ZERO for nu in basis]
-    coeffs = solve_square(matrix, rhs)
-    expansion = SymExpansion("pstar", pt.weight(lam), dict(zip(basis, coeffs)))
-    return expansion, over_common_denominator(expansion.coeffs.values())
+    # products of weight at most d, the conditions the values at every point
+    # q^nu of weight at most d; the right-hand side of lambda is zero away
+    # from lambda and the hook product on it
+    basis = pt.partitions_up_to(d)
+    matrix = [_pstar_products(basis, nu) for nu in basis]
+    shapes = pt.partitions_of(d)
+    columns = [[pt.hook_product(lam) if nu == lam else S_ZERO for nu in basis]
+               for lam in shapes]
+    out = {}
+    for lam, coeffs in zip(shapes, solve_square(matrix, columns)):
+        expansion = SymExpansion("pstar", d, dict(zip(basis, coeffs)))
+        out[lam] = expansion, over_common_denominator(expansion.coeffs.values())
+    return out
 
 
 def interpolation_polynomial(lam, N):
@@ -102,11 +107,11 @@ def interpolation_value(lam, mu):
     A trailing coordinate 1 adds nothing to a shifted power sum, so the
     value does not depend on the variable count.
     """
-    mu = pt.as_partition(mu)
-    expansion, (nums, den) = _interpolation(pt.as_partition(lam))
+    lam, mu = pt.as_partition(lam), pt.as_partition(mu)
+    expansion, (nums, den) = _interpolations(pt.weight(lam))[lam]
     total = P_ZERO
-    for num, nu in zip(nums, expansion.coeffs):
-        total = total + num * _pstar_product_value(nu, mu).num
+    for num, value in zip(nums, _pstar_products(expansion.coeffs, mu)):
+        total = total + num * value.num
     return QTScalar(total, den)
 
 
@@ -121,31 +126,15 @@ def evaluate_at_partition(f, mu):
 
 
 # ---------------------------------------------------------------------------
-# branching recursion and tableau formula
+# branching recursion
 # ---------------------------------------------------------------------------
 
 def interpolation_by_branching(lam, N):
-    """The interpolation polynomial through the peeling recursion, aligned
-    to the hook normalization."""
+    """The interpolation polynomial as the box-weighted tableau sum, by the
+    peeling recursion, aligned to the hook normalization: each box
+    contributes (x_{T(s)} - q^{a'(s)} t^{l'(s)}) t^{T(s)-1}."""
     lam = pt.as_partition(lam)
     return _strip_sum(lam, (), N, 0).scale(pt.normalization_alignment(lam))
-
-
-def interpolation_tableau_sum(lam, N):
-    """The interpolation polynomial as a box-weighted tableau sum, aligned
-    to the hook normalization: each box contributes
-    (x_{T(s)} - q^{a'(s)} t^{l'(s)}) t^{T(s)-1}."""
-    lam = pt.as_partition(lam)
-    space = VarSpace.z(N)
-    total = MultiPoly.zero(space)
-    for tab in reverse_tableaux(lam, N):
-        term = MultiPoly.constant(space, tab.weight_in_chain())
-        for box, entry in tab.entries.items():
-            factor = (MultiPoly.variable(space, entry - 1)
-                      - MultiPoly.constant(space, _box_node(box)))
-            term = term * factor.scale(t_pow(entry - 1))
-        total = total + term
-    return total.scale(pt.normalization_alignment(lam))
 
 
 def duality_check(lam, mu):

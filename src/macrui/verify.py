@@ -11,9 +11,10 @@ from itertools import combinations_with_replacement
 from .errors import MacruiError
 from . import partitions as pt
 from .linalg import vectors_rank
-from .macdonald import (branching_coefficients, macdonald_polynomial,
-                        macdonald_tableau_sum, parameter_duality_sign,
-                        skew_tableau_sum, super_macdonald, super_tableau_sum)
+from .macdonald import (branching_coefficients, macdonald_p_expansion,
+                        macdonald_polynomial, macdonald_tableau_sum,
+                        parameter_duality_sign, skew_tableau_sum,
+                        super_macdonald, super_tableau_sum)
 from .operators import (apply_deformed_mr, apply_mr, cherednik_dunkl,
                         coefficient_sum_identity, hecke_T, mr_eigenvalue,
                         operator_from_shifted_symmetric)
@@ -22,7 +23,7 @@ from .scalar import (P_ONE, QTPolynomial, QTScalar, S_ONE, S_T, one_minus_q,
                      qt_eval)
 from .shifted import (_duality_holds, evaluate_at_partition,
                       interpolation_by_branching, interpolation_polynomial,
-                      interpolation_tableau_sum, interpolation_value,
+                      interpolation_pstar_expansion, interpolation_value,
                       shifted_super_macdonald, shifted_super_tableau_sum)
 from .symfun import (SymExpansion, deformed_newton_sum, monomial_symmetric,
                      monomial_to_power_expansion, power_sum_product,
@@ -136,18 +137,26 @@ def suite_duality(max_weight, bounds):
 
 
 def suite_vanishing(max_weight, bounds):
-    """Triple agreement, hook normalization, and extra vanishing."""
+    """The vanishing solve against the branching recursion and against the
+    top-degree identity, hook normalization, and extra vanishing.
+
+    The top-degree identity (Knop-Sahi 1996; Okounkov 1997): the weight-|lam|
+    part of the p*-expansion is the p-expansion of P_lam, times the
+    normalization alignment."""
     checks = []
     N = max(max_weight, 1)
     for d in range(max_weight + 1):
         for lam in pt.partitions_of(d, max_length=N):
             v = interpolation_polynomial(lam, N)
             b = interpolation_by_branching(lam, N)
-            c = interpolation_tableau_sum(lam, N)
             _check(checks, f"branching agrees lam={list(lam)}", v == b,
                    _diff_witness(v, b))
-            _check(checks, f"tableau agrees lam={list(lam)}", v == c,
-                   _diff_witness(v, c))
+            top = {mu: c for mu, c in interpolation_pstar_expansion(lam).coeffs.items()
+                   if pt.weight(mu) == d}
+            align = pt.normalization_alignment(lam)
+            want = {mu: c * align for mu, c in macdonald_p_expansion(lam).coeffs.items()}
+            _check(checks, f"top degree agrees lam={list(lam)}", top == want,
+                   f"top={top} want={want}")
             val = evaluate_at_partition(v, lam)
             _check(checks, f"normalization lam={list(lam)}",
                    val == pt.hook_product(lam),
@@ -370,9 +379,9 @@ _WEIGHT_CEILINGS = {
     "eigen": 7,             # 45 s; weight 8 still running after 60 s
     "commdia": 7,           # 36 s; weight 8 over 100 s
     "kernel": 8,            # 25 s; weight 9 over 100 s
-    "duality": 6,           # 26 s; weight 7 takes 314 s
-    "vanishing": 5,         # 13 s; weight 6 over 150 s, mostly in the tableau sums
-    "combinatorial": 9,     # 48 s; weight 10 takes 126 s
+    "duality": 6,           # 8 s; weight 7 takes 64-94 s
+    "vanishing": 6,         # 18 s; weight 7 takes 226 s
+    "combinatorial": 9,     # 23 s; weight 10 takes 65 s
     "cherednik": 64,        # 0.3 s at every weight
     "identities": 64,       # 0.4 s at every weight
 }

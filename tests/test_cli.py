@@ -16,8 +16,7 @@ from macrui.cli import main, parse_partition
 from macrui.errors import MacruiError
 from macrui.macdonald import macdonald_polynomial, super_macdonald
 from macrui.polyring import MultiPoly, VarSpace
-from macrui.scalar import S_ONE, S_Q, S_T, qt_ratio
-from macrui.symfun import SymExpansion
+from macrui.scalar import S_ONE, S_Q, S_T
 from macrui.verify import SUITES, _WEIGHT_CEILINGS, run_suite
 
 
@@ -45,11 +44,6 @@ def test_poly_json_round_trip():
     assert jsonio.poly_from_json(jsonio.poly_to_json(f)) == f
     g = macdonald_polynomial((2,), 2)
     assert jsonio.poly_from_json(jsonio.poly_to_json(g)) == g
-
-
-def test_expansion_json_round_trip():
-    e = SymExpansion("p", 3, {(2, 1): qt_ratio(2), (1,): S_T})
-    assert jsonio.expansion_from_json(jsonio.expansion_to_json(e)) == e
 
 
 def test_macdonald_verb_matches_library():

@@ -25,9 +25,8 @@ CONSTRUCTION = ("errors", "scalar", "partitions", "polyring", "linalg", "symfun"
 LAZY_NAMES = {
     "shifted": ("duality_check", "evaluate_at_partition", "fat_hook_point",
                 "interpolation_by_branching", "interpolation_polynomial",
-                "interpolation_pstar_expansion", "interpolation_tableau_sum",
-                "interpolation_value", "shifted_super_macdonald",
-                "shifted_super_tableau_sum"),
+                "interpolation_pstar_expansion", "interpolation_value",
+                "shifted_super_macdonald", "shifted_super_tableau_sum"),
     "verify": ("SUITES", "run_suite"),
 }
 

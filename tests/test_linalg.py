@@ -12,7 +12,7 @@ def test_solve_square_three_by_three():
          [S_T, S_Q - S_T, S_ONE],
          [S_ONE, S_ZERO, qt_ratio(2)]]
     b = [S_ONE, S_Q * S_T, S_ONE - S_T]
-    x = solve_square(a, b)
+    x = solve_square(a, [b])[0]
     assert len(x) == 3
     for row, rhs in zip(a, b):
         total = S_ZERO
@@ -26,16 +26,47 @@ def test_solve_square_three_by_three():
 def test_solve_square_singular():
     a = [[S_Q, S_T], [S_Q * S_Q, S_Q * S_T]]
     with pytest.raises(SingularSystemError):
-        solve_square(a, [S_ONE, S_ONE])
+        solve_square(a, [[S_ONE, S_ONE]])[0]
     with pytest.raises(SingularSystemError):
-        solve_square([[S_ZERO, S_ONE], [S_ZERO, S_T]], [S_ONE, S_ZERO])
+        solve_square([[S_ZERO, S_ONE], [S_ZERO, S_T]], [[S_ONE, S_ZERO]])[0]
 
 
 def test_solve_square_needs_a_square_system():
     with pytest.raises(ValueError):
-        solve_square([[S_ONE, S_Q]], [S_ONE])
+        solve_square([[S_ONE, S_Q]], [[S_ONE]])[0]
     with pytest.raises(ValueError):
-        solve_square([[S_ONE, S_ZERO], [S_ZERO, S_ONE]], [S_ONE])
+        solve_square([[S_ONE, S_ZERO], [S_ZERO, S_ONE]], [[S_ONE]])[0]
+
+
+def test_solve_square_solves_every_column():
+    a = [[S_Q, S_ONE, S_ZERO],
+         [S_T, S_Q - S_T, S_ONE],
+         [S_ONE, S_ZERO, qt_ratio(2)]]
+    columns = [[S_ONE, S_Q * S_T, S_ONE - S_T],
+               [qt_ratio(1), S_ONE / S_Q, S_ZERO],  # a column with denominators
+               [S_ZERO, S_ZERO, S_ZERO],
+               [S_T, S_ZERO, S_Q]]
+    solutions = solve_square(a, columns)
+    assert len(solutions) == len(columns)
+    for b, x in zip(columns, solutions):
+        assert len(x) == 3
+        for row, rhs in zip(a, b):
+            total = S_ZERO
+            for coeff, value in zip(row, x):
+                total = total + coeff * value
+            assert total == rhs
+    assert all(v.is_zero() for v in solutions[2])
+    # each column is solved as it would be alone
+    for b, x in zip(columns, solutions):
+        assert solve_square(a, [b]) == [x]
+
+
+def test_solve_square_many_columns_singular_or_ragged():
+    a = [[S_Q, S_T], [S_Q * S_Q, S_Q * S_T]]
+    with pytest.raises(SingularSystemError):
+        solve_square(a, [[S_ONE, S_ONE], [S_Q, S_ZERO]])
+    with pytest.raises(ValueError):
+        solve_square([[S_ONE, S_ZERO], [S_ZERO, S_ONE]], [[S_ONE, S_Q], [S_ONE]])
 
 
 def test_rank_examples():

@@ -9,12 +9,14 @@ from macrui import macdonald, operators
 from macrui.macdonald import (branching_coefficients, macdonald_m_expansion,
                               macdonald_p_expansion, macdonald_polynomial,
                               macdonald_tableau_sum, parameter_duality_sign,
-                              reverse_tableaux, skew_tableau_sum,
-                              super_macdonald, super_tableau_sum)
+                              skew_tableau_sum, super_macdonald,
+                              super_tableau_sum)
 from macrui.operators import apply_deformed_mr, mr_eigenvalue
 from macrui.polyring import MultiPoly, VarSpace
 from macrui.scalar import S_ONE, S_Q, S_T, S_ZERO, qt_ratio
 from macrui.symfun import monomial_symmetric, to_monomial_expansion
+
+from test_tableau_reference import reverse_tableaux
 
 
 def test_column_shapes_are_monomial():
@@ -254,6 +256,25 @@ def test_tableau_enumeration_counts():
     tabs = list(reverse_tableaux((1, 1), 2))
     assert len(tabs) == 1
     assert tabs[0].entries == {(1, 1): 2, (2, 1): 1}
+
+
+def test_m_to_p_solved_once_per_degree(monkeypatch):
+    from macrui import symfun
+
+    macdonald._macdonald_p_expansion.cache_clear()
+    symfun._monomial_in_power_matrix.cache_clear()
+    calls = []
+    solve = symfun.solve_square
+
+    def counted(matrix, columns):
+        calls.append((len(matrix), len(columns)))
+        return solve(matrix, columns)
+
+    monkeypatch.setattr(symfun, "solve_square", counted)
+    for lam in pt.partitions_of(5):
+        super_macdonald(lam, 2, 2)
+    # one inverse of the p -> m matrix of weight 5, from its unit columns
+    assert calls == [(7, 7)]
 
 
 def test_p_expansion_matches_construction():

@@ -101,12 +101,25 @@ def test_n_stat_as_box_sums():
             assert pt.n_stat(pt.conjugate(lam)) == asum
 
 
+def is_horizontal_strip(lam, mu):
+    """True iff mu <= lam and lam/mu has at most one box per column."""
+    if not pt.contains(mu, lam):
+        return False
+    for i in range(1, len(lam) + 1):
+        if not (pt.part(lam, i + 1) <= pt.part(mu, i) <= pt.part(lam, i)):
+            return False
+    return True
+
+
 def test_horizontal_strips():
     assert set(pt.horizontal_strips_below((2, 1))) == {(2, 1), (2,), (1, 1), (1,)}
     assert pt.horizontal_strips_below(()) == [()]
-    assert pt.is_horizontal_strip((2, 1), (1,))
-    assert pt.is_horizontal_strip((2, 2), (2,))  # one full row is a strip
-    assert not pt.is_horizontal_strip((2, 2), (1, 1))  # two boxes share a column
+    assert is_horizontal_strip((2, 1), (1,))
+    assert is_horizontal_strip((2, 2), (2,))  # one full row is a strip
+    assert not is_horizontal_strip((2, 2), (1, 1))  # two boxes share a column
+    for lam in pt.partitions_up_to(6):
+        want = [mu for mu in pt.subpartitions(lam) if is_horizontal_strip(lam, mu)]
+        assert sorted(pt.horizontal_strips_below(lam)) == sorted(want), lam
 
 
 def test_subpartitions():

@@ -13,10 +13,11 @@ from macrui.shifted import (duality_check, evaluate_at_partition,
                             fat_hook_point, interpolation_by_branching,
                             interpolation_polynomial,
                             interpolation_pstar_expansion,
-                            interpolation_tableau_sum,
                             shifted_super_macdonald,
                             shifted_super_tableau_sum)
 from macrui.symfun import shifted_power_sum
+
+from test_tableau_reference import reference_interpolation_sum
 
 
 def test_vanishing_solve_examples():
@@ -72,8 +73,9 @@ def test_branching_examples():
 
 
 def test_tableau_examples():
-    assert interpolation_tableau_sum((1,), 2) == shifted_power_sum(1, 2)
-    assert interpolation_tableau_sum((1, 1), 1).is_zero()
+    assert reference_interpolation_sum((1,), 2) == shifted_power_sum(1, 2)
+    assert reference_interpolation_sum((1, 1), 1).is_zero()
+    assert interpolation_by_branching((1, 1), 1).is_zero()
 
 
 def test_top_degree_is_rescaled_polynomial():
@@ -82,7 +84,8 @@ def test_top_degree_is_rescaled_polynomial():
     for d in range(4):
         for lam in pt.partitions_of(d, max_length=3):
             N = max(d, 1)
-            P = interpolation_tableau_sum(lam, N)
+            P = reference_interpolation_sum(lam, N)
+            assert interpolation_by_branching(lam, N) == P
             top = P.homogeneous_component(d)
             expect = macdonald_polynomial(lam, N)
             for i in range(1, N):
@@ -96,7 +99,7 @@ def test_triple_agreement():
             N = 3
             v = interpolation_polynomial(lam, N)
             assert interpolation_by_branching(lam, N) == v
-            assert interpolation_tableau_sum(lam, N) == v
+            assert reference_interpolation_sum(lam, N) == v
 
 
 def test_shifted_expansion_coefficients_stable_in_variable_count():
@@ -115,23 +118,39 @@ def test_shifted_expansion_coefficients_stable_in_variable_count():
                 assert interpolation_pstar_expansion(lam) == rendered, (lam, N)
 
 
-def test_vanishing_system_solved_once_per_shape(monkeypatch):
+def test_vanishing_system_solved_once_per_degree(monkeypatch):
     from macrui import shifted
 
-    shifted._interpolation.cache_clear()
+    shifted._interpolations.cache_clear()
     calls = []
     solve = shifted.solve_square
 
-    def counted(matrix, rhs):
-        calls.append(len(rhs))
-        return solve(matrix, rhs)
+    def counted(matrix, columns):
+        calls.append((len(matrix), len(columns)))
+        return solve(matrix, columns)
 
     monkeypatch.setattr(shifted, "solve_square", counted)
-    for N in (3, 4, 5):
-        interpolation_polynomial((2, 1), N)
-    shifted_super_macdonald((2, 1), 1, 1)
-    # one square system over the partitions of weight at most 3
-    assert calls == [len(pt.partitions_up_to(3))]
+    for lam in pt.partitions_of(4):
+        for N in (4, 5):
+            interpolation_polynomial(lam, N)
+        shifted_super_macdonald(lam, 1, 1)
+    # one square system over the partitions of weight at most 4, with one
+    # right-hand side per shape of weight 4
+    assert calls == [(len(pt.partitions_up_to(4)), len(pt.partitions_of(4)))]
+
+
+def test_vanishing_suite_families_at_weight_three():
+    from macrui.verify import run_suite
+
+    report = run_suite("vanishing", 3)
+    assert report["ok"]
+    families = {}
+    for check in report["checks"]:
+        family = check["name"].split(" lam=")[0]
+        families[family] = families.get(family, 0) + 1
+    assert families == {"branching agrees": 7, "top degree agrees": 7,
+                        "normalization": 7, "extra vanishing": 11}
+    assert report["bounds"] == {"extra vanishing": {"weight": 2}}
 
 
 def test_variable_reduction_stability():
@@ -172,7 +191,7 @@ def test_duality_up_to_weight_three():
 def test_duality_suite_computes_each_value_once(monkeypatch):
     from macrui import shifted, verify
 
-    shifted._interpolation.cache_clear()
+    shifted._interpolations.cache_clear()
     values, clearings = [], []
     value, clear = verify.interpolation_value, shifted.over_common_denominator
 

@@ -6,7 +6,9 @@ denominator with a gcd.  ``linear_combination`` sums its Z[q, t] numerators
 as Kronecker-packed integers; the reference adds them as term dicts.
 ``solve_square`` eliminates on the numerators of a right-hand side put over
 one common denominator; the reference is Gauss-Jordan on the right-hand side
-as given.  ``macdonald_m_expansion`` sums u_nu c_{nu mu} over one common
+as given.  ``monomial_to_power_expansion`` applies one inverse per degree;
+the reference solves the p -> m system for each expansion.
+``macdonald_m_expansion`` sums u_nu c_{nu mu} over one common
 denominator; the reference adds the products one at a time.  Each pair must
 agree exactly.
 """
@@ -29,10 +31,11 @@ from macrui.operators import mr_eigenvalue
 from macrui.polyring import (MultiPoly, VarSpace, _pack, _unpack,
                              linear_combination)
 from macrui.scalar import (P_ONE, QTPolynomial, QTScalar, S_ONE, S_ZERO,
-                           _as_scalar, over_common_denominator, qt_gcd)
+                           _as_scalar, over_common_denominator, qt_gcd,
+                           qt_ratio)
 from macrui.symfun import (SymExpansion, _cleared_representatives,
                            _power_in_monomial_matrix, from_monomial_expansion,
-                           monomial_symmetric)
+                           monomial_symmetric, monomial_to_power_expansion)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -77,6 +80,18 @@ def reference_solve_square(matrix, rhs):
     if len(_row_reduce(a, n)) < n:
         raise SingularSystemError("the system has no unique solution")
     return [a[i][n] for i in range(n)]
+
+
+def reference_monomial_to_power(e):
+    out = {}
+    for d in e.degrees():
+        mus, table = _power_in_monomial_matrix(d)
+        matrix = [[table[mu].get(lam, S_ZERO) for mu in mus] for lam in mus]
+        rhs = [e.coeffs.get(lam, S_ZERO) for lam in mus]
+        for mu, c in zip(mus, reference_solve_square(matrix, rhs)):
+            if not c.is_zero():
+                out[mu] = c
+    return out
 
 
 def reference_m_expansion(lam, N):
@@ -270,7 +285,23 @@ def test_solve_square_matches_reference_on_the_m_to_p_systems():
         for lam in mus:
             coeffs = macdonald_m_expansion(lam, d)
             rhs = [coeffs.get(nu, S_ZERO) for nu in mus]
-            _same(solve_square(matrix, rhs), reference_solve_square(matrix, rhs))
+            _same(solve_square(matrix, [rhs])[0], reference_solve_square(matrix, rhs))
+
+
+def test_m_to_p_inverse_matches_the_per_expansion_solve():
+    for d in range(7):
+        for lam in pt.partitions_of(d):
+            e = SymExpansion("m", d, macdonald_m_expansion(lam, d))
+            got = monomial_to_power_expansion(e).coeffs
+            want = reference_monomial_to_power(e)
+            assert list(got) == list(want), lam
+            _same(list(got.values()), list(want.values()))
+    # several degrees in one expansion, and a monomial that is not a P_lam
+    e = SymExpansion("m", 4, {(): S_ONE, (2, 1): qt_ratio(2), (1, 1, 1, 1): S_ONE})
+    got = monomial_to_power_expansion(e).coeffs
+    want = reference_monomial_to_power(e)
+    assert list(got) == list(want)
+    _same(list(got.values()), list(want.values()))
 
 
 def _random_scalar(rng):
@@ -293,11 +324,11 @@ def test_solve_square_matches_reference_on_random_systems():
             want = reference_solve_square(matrix, rhs)
         except SingularSystemError:
             try:
-                solve_square(matrix, rhs)
+                solve_square(matrix, [rhs])[0]
             except SingularSystemError:
                 continue
             raise AssertionError("the cleared solve found a solution of a singular system")
-        _same(solve_square(matrix, rhs), want)
+        _same(solve_square(matrix, [rhs])[0], want)
         solved += 1
     assert solved >= 30
 
