@@ -175,8 +175,50 @@ def build_parser():
     return ap
 
 
+# The largest request of each verb whose cold run finished within about a
+# minute on a 2-vCPU host, Python 3.11 (the README lists the times).  The
+# weight of --lambda bounds every construction; ``eval`` constructs with the
+# verb that --which names, and ``apply-deformed-mr --lambda`` with ``super``.
+# The variable count bounds the two operator verbs.  A larger request is
+# refused before any work.
+_VERB_CEILINGS = {
+    "macdonald": 8,
+    "macdonald-comb": 18,
+    "skew": 15,
+    "super": 8,
+    "super-comb": 22,
+    "shifted": 7,
+    "shifted-comb": 7,
+    "shifted-super": 7,
+    "shifted-super-comb": 13,
+    "eigenvalue": 4000000,
+}
+_VARIABLE_CEILINGS = {"apply-mr": 17, "apply-deformed-mr": 9}
+
+
+def _refuse_above(what, size, ceiling):
+    if size > ceiling:
+        raise MacruiError(f"{what} {size} is above the ceiling {ceiling}, the "
+                          f"largest that finishes in about a minute")
+
+
+def _check_ceilings(args):
+    """Refuse a construction above its verb's weight ceiling, before any work."""
+    verb = args.verb
+    builder = {"eval": getattr(args, "which", None),
+               "apply-deformed-mr": "super"}.get(verb, verb)
+    if builder in _VERB_CEILINGS and args.lam is not None:
+        _refuse_above(f"{verb}: the weight of --lambda",
+                      pt.weight(parse_partition(args.lam)), _VERB_CEILINGS[builder])
+
+
+def _check_variables(verb, count):
+    _refuse_above(f"{verb}: the variable count", count, _VARIABLE_CEILINGS[verb])
+
+
 def _run(args):
     verb = args.verb
+    _check_ceilings(args)
     if verb in ("macdonald", "macdonald-comb"):
         lam = parse_partition(args.lam)
         N = args.N if args.N is not None else max(len(lam), 1)
@@ -220,8 +262,10 @@ def _run(args):
                 raise MacruiError("apply-mr needs --lambda or --poly/--poly-file")
             lam = parse_partition(args.lam)
             N = args.N if args.N is not None else max(len(lam), 1)
+            _check_variables(verb, N)
             f = monomial_symmetric(lam, N)
             request.update({"lambda": list(lam), "N": N, "input": "monomial"})
+        _check_variables(verb, f.space.dim)
         return _poly_result(request, apply_mr(f), args)
 
     if verb == "apply-deformed-mr":
@@ -232,9 +276,11 @@ def _run(args):
                 raise MacruiError(
                     "apply-deformed-mr needs --poly/--poly-file or --lambda with --n, --m")
             lam = parse_partition(args.lam)
+            _check_variables(verb, args.n + args.m)
             f = super_macdonald(lam, args.n, args.m)
             request.update({"lambda": list(lam), "n": args.n, "m": args.m,
                             "input": "super"})
+        _check_variables(verb, f.space.dim)
         return _poly_result(request, apply_deformed_mr(f), args)
 
     if verb == "eigenvalue":

@@ -6,13 +6,16 @@ from .scalar import P_ONE, QTScalar, S_ZERO, over_common_denominator
 
 def _row_reduce(rows, ncols):
     """Gauss-Jordan elimination of ``rows`` in place, pivoting on the first
-    ``ncols`` columns with the first nonzero entry at or below the current
-    row.  Returns the pivot columns; later columns are carried along."""
+    ``ncols`` columns.  The pivot row is the one at or below the current row,
+    nonzero in the column, with the fewest terms in all (the first on a tie),
+    so the cost of a solve hardly depends on the order of its rows.  Returns
+    the pivot columns; later columns are carried along."""
     pivots = []
     for col in range(ncols):
         rk = len(pivots)
-        pivot = next((r for r in range(rk, len(rows)) if not rows[r][col].is_zero()),
-                     None)
+        pivot = min((r for r in range(rk, len(rows)) if not rows[r][col].is_zero()),
+                    key=lambda r: sum(len(v.num.terms) + len(v.den.terms) for v in rows[r]),
+                    default=None)
         if pivot is None:
             continue
         rows[rk], rows[pivot] = rows[pivot], rows[rk]

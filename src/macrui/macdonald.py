@@ -21,9 +21,9 @@ from functools import cache
 from .errors import InvalidPartitionError, MacruiError
 from . import partitions as pt
 from .operators import apply_mr, mr_eigenvalue
-from .polyring import MultiPoly, VarSpace, _add_into, linear_combination
-from .scalar import (P_ONE, P_ZERO, QTPolynomial, QTScalar, S_ONE,
-                     over_common_denominator, qt_monomial, t_pow)
+from .polyring import (MultiPoly, VarSpace, _add_into, _cleared, _combination,
+                       linear_combination)
+from .scalar import P_ONE, QTPolynomial, QTScalar, S_ONE, qt_monomial, t_pow
 from .symfun import (SymExpansion, from_monomial_expansion, monomial_symmetric,
                      monomial_to_power_expansion,
                      qt_ratio_automorphism, restrict_p_expansion,
@@ -61,20 +61,13 @@ def _macdonald_m_expansion(lam, N):
     cmat = {nu: _mr_monomial_expansion(nu, N) for nu in parts}
     clam = mr_eigenvalue(lam)
     u = {lam: S_ONE}
-    started = False
-    for mu in parts:
-        if mu == lam:
-            started = True
-            continue
-        if not started:
-            continue
-        # sum_nu u_nu c_{nu mu} over one common denominator of the u_nu (the
-        # operator's m-matrix has Z[q, t] entries) and reduce the sum once
-        pairs = [(unu, cmat[nu][mu]) for nu, unu in u.items() if mu in cmat[nu]]
-        nums, den = over_common_denominator(unu for unu, _ in pairs)
-        num = sum((n * c.num for n, (_, c) in zip(nums, pairs)), P_ZERO)
-        if not num.is_zero():
-            u[mu] = QTScalar(num, den) / (clam - mr_eigenvalue(mu))
+    for mu in parts[parts.index(lam) + 1:]:
+        # sum_nu u_nu c_{nu mu} as one cleared combination: the operator's
+        # m-matrix has Z[q, t] entries
+        row = _combination((unu, {mu: cmat[nu][mu]}) for nu, unu in u.items()
+                           if mu in cmat[nu])
+        if row:
+            u[mu] = row[mu] / (clam - mr_eigenvalue(mu))
     return u
 
 
@@ -171,9 +164,9 @@ def _strip_sum(outer, inner, N, shift):
             psi = psi * t_pow(pt.weight(kappa) - pt.weight(inner))
         # the tail over its common denominator, so that the level is one
         # cleared sum of denominator-free polynomials
-        nums, den = over_common_denominator(tail.terms.values())
+        nums, den = _cleared(tail.terms)
         lifted = MultiPoly._raw(space, {(0,) + e: QTScalar._raw(num, P_ONE)
-                                        for e, num in zip(tail.terms, nums)})
+                                        for e, num in nums.items()})
         if den is not P_ONE:
             psi = psi * QTScalar._raw(P_ONE, den)
         pairs.append((psi, factor * lifted))

@@ -16,14 +16,15 @@ QTScalar coefficients.
 """
 
 from collections import namedtuple
+from functools import reduce
 
 from .errors import NonDivisibleError, NotSymmetricError
 from . import partitions as pt
-from .polyring import (MultiPoly, VarSpace, _div_difference,
-                       _divided_difference, _mul_binomial, _scale, _shift,
-                       _sub_into)
+from .polyring import (MultiPoly, VarSpace, _cleared, _div_difference,
+                       _divided_difference, _mul_binomial, _reduce_each,
+                       _scale, _shift, _sub_into)
 from .scalar import (P_ONE, P_Q, P_T, QTPolynomial, QTScalar, S_ONE, S_Q,
-                     S_T, over_common_denominator, over_irreducible)
+                     S_T, over_irreducible)
 
 OperatorResult = namedtuple("OperatorResult", ["value", "divisibility_witnesses"])
 
@@ -37,30 +38,14 @@ _ONE_MINUS_T = P_ONE - P_T
 # term engine over polynomial coefficients
 # ---------------------------------------------------------------------------
 
-def _clear_denominators(f):
-    """Split f into (terms with QTPolynomial coefficients, common denominator)."""
-    nums, den = over_common_denominator(f.terms.values())
-    return dict(zip(f.terms, nums)), den
-
-
 def _z_to_poly(space, zt, den0, irreducibles):
     """The polynomial with coefficients c / (den0 * prod(irreducibles)).
 
     Each distinct numerator is reduced once: over ``den0`` (no gcd when it
     is 1), then by one trial division per irreducible factor.
     """
-    memo = {}
-    terms = {}
-    for e, c in zt.items():
-        v = memo.get(c)
-        if v is None:
-            v = QTScalar(c, den0)
-            for p in irreducibles:
-                v = over_irreducible(v, p)
-            memo[c] = v
-        if not v.is_zero():
-            terms[e] = v
-    return MultiPoly._raw(space, terms)
+    return MultiPoly._raw(space, _reduce_each(
+        zt, lambda c: reduce(over_irreducible, irreducibles, QTScalar(c, den0))))
 
 
 def _shift_difference(zt, i, factor):
@@ -162,7 +147,7 @@ def apply_mr_detailed(f, block=None):
         raise NotSymmetricError("input not symmetric in the operator block")
     if not block or f.is_zero():
         return OperatorResult(MultiPoly.zero(space), [])
-    zt, den0 = _clear_denominators(f)
+    zt, den0 = _cleared(f.terms)
     total = _antisymmetrized(_shift_difference(zt, block[0], P_Q), block,
                              [(k, _M_T) for k in block[1:]])
     witnesses = [_pair_name(space, a, b) for a, b in _pairs(block)]
@@ -201,7 +186,7 @@ def apply_deformed_mr_detailed(f):
             raise NotSymmetricError(f"input not symmetric in the {block} block")
     if f.is_zero():
         return OperatorResult(MultiPoly.zero(space), [])
-    zt, den0 = _clear_denominators(f)
+    zt, den0 = _cleared(f.terms)
     total, cross = _deformed_sum(
         space, lambda i, factor: _shift_difference(zt, i, factor))
     witnesses = [_pair_name(space, a, b) for a, b in

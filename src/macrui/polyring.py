@@ -19,7 +19,7 @@ construction.
 """
 
 from .errors import SpaceMismatchError
-from .scalar import (P_ONE, P_ZERO, QTPolynomial, QTScalar, S_ONE, S_ZERO,
+from .scalar import (P_ONE, QTPolynomial, QTScalar, S_ONE, S_ZERO,
                      _as_int, _as_scalar, over_common_denominator)
 
 
@@ -448,9 +448,8 @@ class MultiPoly:
             for x, k in zip(point, e):
                 if k:
                     v = v * x ** k
-            values.append(v)
-        nums, den = over_common_denominator(values)
-        return QTScalar(sum(nums, P_ZERO), den)
+            values.append((v, {(): S_ONE}))
+        return _combination(values).get((), S_ZERO)
 
     # -- symmetry -------------------------------------------------------------
 
@@ -513,48 +512,83 @@ def linear_combination(space, pairs):
     """Exact sum of scalar * polynomial, assembled over one cleared denominator.
 
     The polynomials must carry denominator-free coefficients (as basis
-    elements here always do); the scalars may be arbitrary.  The numerators
-    are summed in Z[q, t] over the least common denominator, and each
-    distinct output numerator is reduced once.
+    elements here always do); the scalars may be arbitrary.  This is
+    ``_combination`` on the term dicts, vectors keyed by exponent.
+    """
+    items = [(_as_scalar(c), poly) for c, poly in pairs]
+    return MultiPoly._raw(space, _combination(
+        (c, poly.terms) for c, poly in items if not poly.is_zero()))
 
-    The numerator sums run on Kronecker-packed integers, q^a t^b ->
+
+# ---------------------------------------------------------------------------
+# cleared combinations: every change of basis sums through here
+# ---------------------------------------------------------------------------
+
+def _cleared(coeffs):
+    """The values of the dict ``coeffs`` over their least common denominator
+    L: the pair (key -> Z[q, t] numerator, L)."""
+    nums, den = over_common_denominator(coeffs.values())
+    return dict(zip(coeffs, nums)), den
+
+
+def _combination(pairs, den=P_ONE):
+    """The sum of scalar * vector over the pairs, divided by ``den``.
+
+    A vector is a dict from any keys to denominator-free QTScalars, and
+    ``den`` a nonzero polynomial in Z[q, t].  The scalars are put over their
+    least common denominator L, and the numerators are summed over L * den
+    by ``_numerator_sums``.  Returns key -> reduced sum, for the keys whose
+    sum is nonzero.
+    """
+    pairs = [(c, vector) for c, vector in pairs if not c.is_zero()]
+    mults, common = over_common_denominator(c for c, _ in pairs)
+    return _numerator_sums(zip(mults, (vector for _, vector in pairs)), common * den)
+
+
+def _numerator_sums(pairs, den):
+    """key -> (sum over the pairs of mult * vector[key]) / den, reduced, for
+    multipliers in Z[q, t] and vectors of denominator-free QTScalars.
+
+    The sums run on Kronecker-packed integers, q^a t^b ->
     2^(bits * (a + stride * b)).  ``stride`` exceeds the q-degree of every
     product, and 2^(bits - 2) exceeds every output coefficient: it is at
     most the sum over the pairs of the largest multiplier coefficient times
-    the largest 1-norm of a summand coefficient.  So the balanced
-    base-2^bits digits of a packed sum are its coefficients.
+    the largest 1-norm of a vector entry.  So the balanced base-2^bits
+    digits of a packed sum are its coefficients.
     """
-    items = [(_as_scalar(c), poly) for c, poly in pairs]
-    items = [(c, poly) for c, poly in items if not (c.is_zero() or poly.is_zero())]
-    mults, den = over_common_denominator(c for c, _ in items)
+    pairs = list(pairs)
     stride, bound = 1, 0
-    for mult, (_, poly) in zip(mults, items):
-        vs = [v.num.terms for v in poly.terms.values()]
-        if any(v.den.terms != P_ONE.terms for v in poly.terms.values()):
-            raise ValueError("linear_combination needs denominator-free coefficients")
-        stride = max(stride,
-                     1 + max(a for a, _ in mult.terms) + max(a for v in vs for a, _ in v))
+    for mult, vector in pairs:
+        if any(v.den.terms != P_ONE.terms for v in vector.values()):
+            raise ValueError("a cleared combination needs denominator-free vectors")
+        vs = [v.num.terms for v in vector.values()]
+        stride = max(stride, 1 + max(a for a, _ in mult.terms)
+                     + max((a for v in vs for a, _ in v), default=0))
         bound += (max(map(abs, mult.terms.values()))
-                  * max(sum(map(abs, v.values())) for v in vs))
+                  * max((sum(map(abs, v.values())) for v in vs), default=0))
     bits = bound.bit_length() + 2
     acc = {}
-    for mult, (_, poly) in zip(mults, items):
+    for mult, vector in pairs:
         pm = _pack(mult.terms, bits, stride)
-        for e, v in poly.terms.items():
+        for key, v in vector.items():
             contrib = pm * _pack(v.num.terms, bits, stride)
-            s = acc.get(e)
-            acc[e] = contrib if s is None else s + contrib
-    memo = {}  # a symmetric result repeats each numerator across an orbit
-    terms = {}
-    for e, packed in acc.items():
-        if not packed:
-            continue
-        val = memo.get(packed)
-        if val is None:
-            val = memo[packed] = QTScalar(
-                QTPolynomial._raw(_unpack(packed, bits, stride)), den)
-        terms[e] = val
-    return MultiPoly._raw(space, terms)
+            s = acc.get(key)
+            acc[key] = contrib if s is None else s + contrib
+    return _reduce_each(acc, lambda packed: QTScalar(
+        QTPolynomial._raw(_unpack(packed, bits, stride)), den))
+
+
+def _reduce_each(sums, reduce):
+    """key -> reduce(sum) for the nonzero sums, each distinct sum reduced
+    once: a symmetric result repeats each numerator across an orbit."""
+    memo, out = {}, {}
+    for key, s in sums.items():
+        if s:
+            value = memo.get(s)
+            if value is None:
+                value = memo[s] = reduce(s)
+            out[key] = value
+    return out
 
 
 def _pack(terms, bits, stride):

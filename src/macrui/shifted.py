@@ -19,8 +19,8 @@ from .errors import InvalidPartitionError, SingularSystemError
 from . import partitions as pt
 from .linalg import solve_square
 from .macdonald import _inner_shape_sum, _strip_sum
-from .scalar import (P_ZERO, QTScalar, S_ONE, S_ZERO, over_common_denominator,
-                     q_pow, qt_monomial, t_pow)
+from .polyring import _cleared, _numerator_sums
+from .scalar import S_ONE, S_ZERO, q_pow, qt_monomial, t_pow
 from .symfun import (SymExpansion, from_shifted_power_expansion,
                      restrict_shifted_expansion)
 
@@ -66,9 +66,8 @@ def interpolation_pstar_expansion(lam):
 @cache
 def _interpolations(d):
     """For each shape lambda of weight d, its p*-expansion and the
-    coefficients cleared over one common denominator (numerators in the
-    expansion's order, and the denominator): the form that
-    ``interpolation_value`` sums."""
+    coefficients cleared over one common denominator (nu -> numerator, and
+    the denominator): the form that ``interpolation_value`` sums."""
     # the square collocation system: the unknowns are the shifted power-sum
     # products of weight at most d, the conditions the values at every point
     # q^nu of weight at most d; the right-hand side of lambda is zero away
@@ -81,7 +80,7 @@ def _interpolations(d):
     out = {}
     for lam, coeffs in zip(shapes, solve_square(matrix, columns)):
         expansion = SymExpansion("pstar", d, dict(zip(basis, coeffs)))
-        out[lam] = expansion, over_common_denominator(expansion.coeffs.values())
+        out[lam] = expansion, _cleared(expansion.coeffs)
     return out
 
 
@@ -108,11 +107,10 @@ def interpolation_value(lam, mu):
     value does not depend on the variable count.
     """
     lam, mu = pt.as_partition(lam), pt.as_partition(mu)
-    expansion, (nums, den) = _interpolations(pt.weight(lam))[lam]
-    total = P_ZERO
-    for num, value in zip(nums, _pstar_products(expansion.coeffs, mu)):
-        total = total + num * value.num
-    return QTScalar(total, den)
+    nums, den = _interpolations(pt.weight(lam))[lam][1]
+    values = _pstar_products(nums, mu)
+    return _numerator_sums(((num, {(): v}) for num, v in zip(nums.values(), values)),
+                           den).get((), S_ZERO)
 
 
 def evaluate_at_partition(f, mu):

@@ -12,10 +12,10 @@ from functools import cache
 from .errors import NotSymmetricError, SingularSystemError
 from . import partitions as pt
 from .linalg import solve_square
-from .polyring import MultiPoly, VarSpace, linear_combination
-from .scalar import (QTPolynomial, QTScalar, S_ONE, S_Q, S_T, S_ZERO, _as_scalar,
-                     one_minus_q, one_minus_t, over_common_denominator, q_pow,
-                     qt_ratio, t_pow)
+from .polyring import (MultiPoly, VarSpace, _cleared, _combination,
+                       linear_combination)
+from .scalar import (P_ONE, QTScalar, S_ONE, S_Q, S_T, S_ZERO, _as_scalar,
+                     one_minus_q, one_minus_t, q_pow, qt_ratio, t_pow)
 
 
 class SymExpansion:
@@ -181,31 +181,26 @@ def _power_in_monomial_matrix(d):
 
 @cache
 def _monomial_in_power_matrix(d):
-    """The partitions mu of weight d, and the p-expansions of the m_lam as
-    integer rows over one integer denominator D: rows[k][lam] / D is the
-    coefficient of p_{mu_k} in m_lam.  The inverse of the counted p -> m
-    matrix, from one solve with the unit columns."""
+    """The partitions mu of weight d, the p-expansions of the m_lam as
+    integer columns, and their one integer denominator D:
+    columns[lam][mu] / D is the coefficient of p_mu in m_lam.  The inverse
+    of the counted p -> m matrix, from one solve with the unit columns."""
     mus, table = _power_in_monomial_matrix(d)
     matrix = [[table[mu].get(lam, S_ZERO) for mu in mus] for lam in mus]
     units = [[S_ONE if lam == col else S_ZERO for lam in mus] for col in mus]
-    # solution j is the p-expansion of m_{mus[j]}; transposed, row i holds
-    # the coefficients of p_{mus[i]}
-    inverse = list(zip(*solve_square(matrix, units)))
-    nums, den = over_common_denominator(c for row in inverse for c in row)
-    n = len(mus)
-    rows = [{lam: nums[i * n + j].terms[(0, 0)]
-             for j, lam in enumerate(mus) if nums[i * n + j]} for i in range(n)]
-    return mus, rows, den.terms[(0, 0)]
+    # solution j is the p-expansion of m_{mus[j]}
+    nums, den = _cleared({(lam, mu): c for lam, x in zip(mus, solve_square(matrix, units))
+                          for mu, c in zip(mus, x)})
+    return mus, {lam: {mu: QTScalar._raw(nums[lam, mu], P_ONE) for mu in mus
+                       if nums[lam, mu]} for lam in mus}, den
 
 
 def monomial_to_power_expansion(e):
     """Rewrite an m-expansion exactly in power-sum products.
 
     Requires the variable context N to be at least the top degree, so the
-    p_mu with |mu| <= degree are linearly independent.  Each degree applies
-    the cached inverse of the p -> m matrix: the m-coefficients are put over
-    one common denominator, the numerators summed in Z[q, t] and each
-    p-coefficient reduced once.
+    p_mu with |mu| <= degree are linearly independent.  Each degree is one
+    cleared combination of the cached p-expansions of the m_lam.
     """
     if e.basis != "m":
         raise ValueError("expected an m-expansion")
@@ -214,20 +209,10 @@ def monomial_to_power_expansion(e):
         if d > e.N:
             raise SingularSystemError(
                 f"power-sum conversion at degree {d} needs at least {d} variables")
-        mus, rows, den = _monomial_in_power_matrix(d)
-        lams = [lam for lam in mus if lam in e.coeffs]
-        nums, common = over_common_denominator(e.coeffs[lam] for lam in lams)
-        common = common * den
-        for mu, row in zip(mus, rows):
-            acc = {}
-            for lam, num in zip(lams, nums):
-                k = row.get(lam)
-                if k:
-                    for ex, c in num.terms.items():
-                        acc[ex] = acc.get(ex, 0) + k * c
-            acc = {ex: c for ex, c in acc.items() if c}
-            if acc:
-                out[mu] = QTScalar(QTPolynomial._raw(acc), common)
+        mus, columns, den = _monomial_in_power_matrix(d)
+        sums = _combination(((e.coeffs[lam], columns[lam]) for lam in mus
+                             if lam in e.coeffs), den)
+        out.update((mu, sums[mu]) for mu in mus if mu in sums)
     return SymExpansion("p", e.N, out)
 
 

@@ -379,7 +379,7 @@ _WEIGHT_CEILINGS = {
     "eigen": 7,             # 45 s; weight 8 still running after 60 s
     "commdia": 7,           # 36 s; weight 8 over 100 s
     "kernel": 8,            # 25 s; weight 9 over 100 s
-    "duality": 6,           # 8 s; weight 7 takes 64-94 s
+    "duality": 7,           # 42 s; weight 8 over 100 s
     "vanishing": 6,         # 18 s; weight 7 takes 226 s
     "combinatorial": 9,     # 23 s; weight 10 takes 65 s
     "cherednik": 64,        # 0.3 s at every weight

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from macrui import jsonio
-from macrui.cli import main, parse_partition
+from macrui.cli import _VARIABLE_CEILINGS, _VERB_CEILINGS, main, parse_partition
 from macrui.errors import MacruiError
 from macrui.macdonald import macdonald_polynomial, super_macdonald
 from macrui.polyring import MultiPoly, VarSpace
@@ -271,6 +271,60 @@ def test_verify_weight_above_ceiling_is_refused(suite, capsys):
         assert "Traceback" not in capsys.readouterr().err
     with pytest.raises(MacruiError):
         run_suite(suite, ceiling + 1)
+
+
+def _refused_at_once(argv, capsys):
+    start = time.perf_counter()
+    code, out = run_cli(argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "MacruiError"
+    assert "above the ceiling" in error["message"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", sorted(_VERB_CEILINGS))
+def test_construction_above_its_weight_ceiling_is_refused(verb, capsys):
+    extra = (["--n", "1", "--m", "1"] if "super" in verb
+             else ["--mu", "1"] if verb == "skew" else [])
+    weight = _VERB_CEILINGS[verb] + 1
+    # a row, and for the small ceilings a column, of weight ceiling + 1
+    for lam in [str(weight)] + ([",".join(["1"] * weight)] if weight < 100 else []):
+        _refused_at_once([verb, "--lambda", lam] + extra, capsys)
+
+
+def test_eval_and_deformed_input_keep_the_construction_ceilings(capsys):
+    two = ["--n", "1", "--m", "1"]
+    for which in ("macdonald", "shifted", "super", "shifted-super"):
+        _refused_at_once(["eval", "--which", which, "--lambda",
+                          str(_VERB_CEILINGS[which] + 1), "--mu", "1"] + two, capsys)
+    _refused_at_once(["apply-deformed-mr", "--lambda", str(_VERB_CEILINGS["super"] + 1)]
+                     + two, capsys)
+
+
+def test_operator_above_its_variable_ceiling_is_refused(capsys):
+    N = _VARIABLE_CEILINGS["apply-mr"] + 1
+    _refused_at_once(["apply-mr", "--lambda", "1", "--N", str(N)], capsys)
+    _refused_at_once(["apply-mr", "--lambda", ",".join(["1"] * N)], capsys)
+    poly = jsonio.poly_to_json(MultiPoly.one(VarSpace.z(N)))
+    _refused_at_once(["apply-mr", "--poly", json.dumps(poly)], capsys)
+    k = _VARIABLE_CEILINGS["apply-deformed-mr"] + 1
+    _refused_at_once(["apply-deformed-mr", "--lambda", "1", "--n", str(k - 1), "--m", "1"],
+                     capsys)
+    poly = jsonio.poly_to_json(MultiPoly.one(VarSpace.xy(1, k - 1)))
+    _refused_at_once(["apply-deformed-mr", "--poly", json.dumps(poly)], capsys)
+
+
+def test_readme_lists_the_verb_ceilings():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = {}
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        verb = cells[0].strip("`")
+        if len(cells) == 5 and (verb in _VERB_CEILINGS or verb in _VARIABLE_CEILINGS):
+            table[verb] = int(cells[2].replace(",", ""))
+    assert table == {**_VERB_CEILINGS, **_VARIABLE_CEILINGS}
 
 
 def test_verify_ceilings_are_listed_in_help(capsys):

@@ -12,13 +12,12 @@ import pytest
 from macrui import operators, partitions as pt
 from macrui.errors import NonDivisibleError
 from macrui.macdonald import super_macdonald
-from macrui.operators import (OperatorResult, _clear_denominators,
-                              _divide_factors, _M_Q, _M_T, _ONE_MINUS_Q,
-                              _ONE_MINUS_T, _pairs, _shift_difference,
-                              _z_to_poly, apply_deformed_mr_detailed,
-                              apply_mr_detailed)
-from macrui.polyring import (MultiPoly, VarSpace, _mul_binomial, _scale,
-                             _sub_into, _transpose)
+from macrui.operators import (OperatorResult, _divide_factors, _M_Q, _M_T,
+                              _ONE_MINUS_Q, _ONE_MINUS_T, _pairs,
+                              _shift_difference, _z_to_poly,
+                              apply_deformed_mr_detailed, apply_mr_detailed)
+from macrui.polyring import (MultiPoly, VarSpace, _cleared, _mul_binomial,
+                             _scale, _sub_into, _transpose)
 from macrui.scalar import P_ONE, P_Q, P_T, S_ONE, S_Q, S_T
 from macrui.symfun import deformed_newton_sum, monomial_symmetric
 
@@ -42,7 +41,7 @@ def _round_trip_sum(start, block, row, pairs):
 def reference_apply_mr_detailed(f, block):
     space = f.space
     block = sorted(block)
-    zt, den0 = _clear_denominators(f)
+    zt, den0 = _cleared(f.terms)
     pairs = _pairs(block)
     total = _round_trip_sum(_shift_difference(zt, block[0], P_Q), block,
                             [(k, _M_T) for k in block[1:]], pairs)
@@ -55,7 +54,7 @@ def reference_apply_deformed_mr_detailed(f):
     n = space.n
     xs, ys = list(space.x_indices()), list(space.y_indices())
     pairs = _pairs(xs) + _pairs(ys) + [(a, b) for a in xs for b in ys]
-    zt, den0 = _clear_denominators(f)
+    zt, den0 = _cleared(f.terms)
     total = {}
     if xs:
         row = [(k, _M_T) for k in xs[1:]] + [(j, _M_Q) for j in ys]

@@ -2,9 +2,11 @@
 
 import pytest
 
+from macrui import partitions as pt
 from macrui.errors import SingularSystemError
-from macrui.linalg import rank, solve_square, vectors_rank
-from macrui.scalar import S_ONE, S_Q, S_T, S_ZERO, qt_ratio
+from macrui.linalg import _row_reduce, rank, solve_square, vectors_rank
+from macrui.scalar import QTPolynomial, QTScalar, S_ONE, S_Q, S_T, S_ZERO, qt_ratio
+from macrui.shifted import _pstar_products
 
 
 def test_solve_square_three_by_three():
@@ -84,3 +86,24 @@ def test_vectors_rank_examples():
     assert vectors_rank([]) == 0
     assert vectors_rank([{}, {}]) == 0
     assert vectors_rank([{(1,): S_Q}, {(1,): S_T, (2,): S_ONE}]) == 2
+
+
+def test_pivot_is_the_row_with_the_fewest_terms():
+    big = QTScalar(QTPolynomial({(2, 0): 1, (0, 1): 1, (0, 0): 3}),
+                   QTPolynomial({(1, 1): 1, (0, 0): 1}))
+    rows = [[big, S_ONE], [S_T, S_ONE], [S_T + 1, S_ONE]]
+    assert _row_reduce(rows, 1) == [0]
+    # the row of t, scaled to a unit pivot, moved to the top
+    assert rows[0] == [S_ONE, S_T.inverse()]
+
+
+def test_solve_does_not_depend_on_the_row_order():
+    # the weight-4 vanishing system, its points in partitions_up_to order and reversed
+    basis = pt.partitions_up_to(4)
+    matrix = [_pstar_products(basis, nu) for nu in basis]
+    columns = [[pt.hook_product(lam) if nu == lam else S_ZERO for nu in basis]
+               for lam in pt.partitions_of(4)]
+    forward = solve_square(matrix, columns)
+    backward = solve_square(matrix[::-1], [b[::-1] for b in columns])
+    assert ([[(v.num.terms, v.den.terms) for v in x] for x in forward]
+            == [[(v.num.terms, v.den.terms) for v in x] for x in backward])

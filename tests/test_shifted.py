@@ -193,7 +193,7 @@ def test_duality_suite_computes_each_value_once(monkeypatch):
 
     shifted._interpolations.cache_clear()
     values, clearings = [], []
-    value, clear = verify.interpolation_value, shifted.over_common_denominator
+    value, clear = verify.interpolation_value, shifted._cleared
 
     def counted_value(lam, mu):
         values.append((lam, mu))
@@ -204,7 +204,7 @@ def test_duality_suite_computes_each_value_once(monkeypatch):
         return clear(coeffs)
 
     monkeypatch.setattr(verify, "interpolation_value", counted_value)
-    monkeypatch.setattr(shifted, "over_common_denominator", counted_clear)
+    monkeypatch.setattr(shifted, "_cleared", counted_clear)
     report = verify.run_suite("duality", 3)
     shapes = pt.partitions_up_to(3)
     assert report["ok"] and report["total"] == len(shapes) ** 2 == 49

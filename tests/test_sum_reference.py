@@ -1,18 +1,19 @@
 """The cleared sums against the routes they replaced.
 
-``over_common_denominator`` joins denominators that are equal up to an
-integer factor by the lcm of their contents; the reference joins every new
-denominator with a gcd.  ``linear_combination`` sums its Z[q, t] numerators
-as Kronecker-packed integers; the reference adds them as term dicts.
-``solve_square`` eliminates on the numerators of a right-hand side put over
-one common denominator; the reference is Gauss-Jordan on the right-hand side
-as given.  ``monomial_to_power_expansion`` applies one inverse per degree;
-the reference solves the p -> m system for each expansion.
-``macdonald_m_expansion`` sums u_nu c_{nu mu} over one common
-denominator; the reference adds the products one at a time.  Each pair must
-agree exactly.
+Every change of basis in the library sums through one kernel,
+``polyring._combination``: the scalars are put over one common denominator
+(``over_common_denominator``), the Z[q, t] numerators are summed as
+Kronecker-packed integers, and each distinct sum is reduced once.  The
+references below are the hand-written routes each caller used before:
+``over_common_denominator`` joins every new denominator with a gcd, the
+numerators are added as term dicts, ``solve_square`` runs Gauss-Jordan on
+the right-hand side as given, ``monomial_to_power_expansion`` solves the
+p -> m system for each expansion, and the triangular eigen-solve adds its
+products one at a time.  A guard pins the modules that clear denominators
+themselves.  Each pair must agree exactly.
 """
 
+import ast
 import os
 import random
 import subprocess
@@ -22,20 +23,21 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macrui import partitions as pt, scalar
+from macrui import partitions as pt, scalar, shifted
 from macrui.errors import SingularSystemError
 from macrui.linalg import _row_reduce, solve_square
 from macrui.macdonald import (_mr_monomial_expansion, macdonald_m_expansion,
                               macdonald_p_expansion)
 from macrui.operators import mr_eigenvalue
-from macrui.polyring import (MultiPoly, VarSpace, _pack, _unpack,
+from macrui.polyring import (MultiPoly, VarSpace, _combination, _pack, _unpack,
                              linear_combination)
-from macrui.scalar import (P_ONE, QTPolynomial, QTScalar, S_ONE, S_ZERO,
-                           _as_scalar, over_common_denominator, qt_gcd,
+from macrui.scalar import (P_ONE, P_ZERO, QTPolynomial, QTScalar, S_ONE,
+                           S_ZERO, _as_scalar, over_common_denominator, qt_gcd,
                            qt_ratio)
 from macrui.symfun import (SymExpansion, _cleared_representatives,
-                           _power_in_monomial_matrix, from_monomial_expansion,
-                           monomial_symmetric, monomial_to_power_expansion)
+                           _monomial_in_power_matrix, _power_in_monomial_matrix,
+                           from_monomial_expansion, monomial_symmetric,
+                           monomial_to_power_expansion)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,22 +58,80 @@ def reference_over_common_denominator(scalars):
             for c in scalars], den
 
 
-def reference_linear_combination(space, pairs):
-    items = [(_as_scalar(c), poly) for c, poly in pairs]
-    items = [(c, poly) for c, poly in items if not (c.is_zero() or poly.is_zero())]
-    mults, den = reference_over_common_denominator(c for c, _ in items)
+def reference_combination(pairs, den=P_ONE):
+    pairs = [(c, vector) for c, vector in pairs if not c.is_zero()]
+    mults, common = reference_over_common_denominator(c for c, _ in pairs)
     acc = {}
-    for mult, (_, poly) in zip(mults, items):
-        for e, v in poly.terms.items():
-            contrib = v.num * mult
-            s = acc.get(e)
-            acc[e] = contrib if s is None else s + contrib
-    terms = {}
-    for e, num in acc.items():
-        val = QTScalar(num, den)
+    for mult, (_, vector) in zip(mults, pairs):
+        for key, v in vector.items():
+            acc[key] = acc.get(key, P_ZERO) + v.num * mult
+    out = {}
+    for key, num in acc.items():
+        val = QTScalar(num, common * den)
         if not val.is_zero():
-            terms[e] = val
-    return MultiPoly._raw(space, terms)
+            out[key] = val
+    return out
+
+
+def reference_linear_combination(space, pairs):
+    return MultiPoly._raw(space, reference_combination(
+        (_as_scalar(c), poly.terms) for c, poly in pairs))
+
+
+def reference_dict_m_to_p(e):
+    """The m -> p sum as written out before the kernel: the m-coefficients
+    over one denominator, and each p-coefficient summed as a term dict."""
+    out = {}
+    for d in e.degrees():
+        mus, columns, den = _monomial_in_power_matrix(d)
+        lams = [lam for lam in mus if lam in e.coeffs]
+        nums, common = reference_over_common_denominator(e.coeffs[lam] for lam in lams)
+        for mu in mus:
+            acc = P_ZERO
+            for lam, num in zip(lams, nums):
+                k = columns[lam].get(mu)
+                if k is not None:
+                    acc = acc + num * k.num
+            if acc:
+                out[mu] = QTScalar(acc, common * den)
+    return out
+
+
+def reference_cleared_m_expansion(lam, N):
+    """The eigen-solve with its row sums written out before the kernel."""
+    parts = pt.partitions_of(pt.weight(lam), max_length=N)
+    clam = mr_eigenvalue(lam)
+    u = {lam: S_ONE}
+    for mu in parts[parts.index(lam) + 1:]:
+        pairs = [(unu, _mr_monomial_expansion(nu, N)[mu]) for nu, unu in u.items()
+                 if mu in _mr_monomial_expansion(nu, N)]
+        nums, den = reference_over_common_denominator(unu for unu, _ in pairs)
+        num = sum((n * c.num for n, (_, c) in zip(nums, pairs)), P_ZERO)
+        if num:
+            u[mu] = QTScalar(num, den) / (clam - mr_eigenvalue(mu))
+    return u
+
+
+def reference_interpolation_value(lam, mu):
+    """The value at q^mu summed as term dicts over the shape's clearing."""
+    expansion = shifted.interpolation_pstar_expansion(lam)
+    nums, den = reference_over_common_denominator(expansion.coeffs.values())
+    total = P_ZERO
+    for num, value in zip(nums, shifted._pstar_products(expansion.coeffs, mu)):
+        total = total + num * value.num
+    return QTScalar(total, den)
+
+
+def reference_evaluate(f, point):
+    values = []
+    for e, c in f.terms.items():
+        v = c
+        for x, k in zip(point, e):
+            if k:
+                v = v * x ** k
+        values.append(v)
+    nums, den = reference_over_common_denominator(values)
+    return QTScalar(sum(nums, P_ZERO), den)
 
 
 def reference_solve_square(matrix, rhs):
@@ -113,6 +173,32 @@ def _same(a, b):
     """Equal values with equal representations, denominators included."""
     assert a == b
     assert [(c.num.terms, c.den.terms) for c in a] == [(c.num.terms, c.den.terms) for c in b]
+
+
+# ---------------------------------------------------------------------------
+# one module clears and sums
+# ---------------------------------------------------------------------------
+
+# the modules that call over_common_denominator themselves; a new hand-written
+# cleared sum elsewhere fails the guard below and belongs in the kernel
+CLEARING_MODULES = {
+    "polyring",  # the kernel: _cleared and _combination
+    "linalg",    # solve_square clears each right-hand side, to eliminate on it
+}
+
+
+def test_only_the_kernel_clears_denominators():
+    users = set()
+    for path in sorted((ROOT / "src" / "macrui").glob("*.py")):
+        if path.stem == "scalar":  # defines it
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [node.attr] if isinstance(node, ast.Attribute)
+                     else [node.id] if isinstance(node, ast.Name) else [])
+            if "over_common_denominator" in names:
+                users.add(path.stem)
+    assert users == CLEARING_MODULES
 
 
 # ---------------------------------------------------------------------------
@@ -210,29 +296,48 @@ def den_free_polys(draw):
     return MultiPoly(Z2, terms)
 
 
+# keys of any hashable kind; a vector may hold zero entries
+odd_keys = st.sampled_from(["a", "b", 7, (), (1, 2, 3), frozenset({2}), None])
+
+
 @st.composite
-def combinations(draw):
+def keyed_vectors(draw):
+    return {draw(odd_keys): QTScalar(draw(qt_polys()))
+            for _ in range(draw(st.integers(min_value=0, max_value=4)))}
+
+
+def _negated(v):
+    return -v if isinstance(v, MultiPoly) else {key: -x for key, x in v.items()}
+
+
+@st.composite
+def combinations(draw, vectors=den_free_polys()):
     pairs = []
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
         # small denominators keep the gcds of the reference routes cheap
         den = draw(qt_polys(max_terms=2, coeffs=st.integers(min_value=-5, max_value=5))
                    .filter(lambda p: not p.is_zero()))
-        c, poly = QTScalar(draw(qt_polys()), den), draw(den_free_polys())
-        pairs.append((c, poly))
+        c, v = QTScalar(draw(qt_polys()), den), draw(vectors)
+        pairs.append((c, v))
         if draw(st.booleans()):  # a pair that cancels this one exactly
-            pairs.append((-c, poly) if draw(st.booleans()) else (c, -poly))
+            pairs.append((-c, v) if draw(st.booleans()) else (c, _negated(v)))
     return pairs
 
 
 @settings(max_examples=100, deadline=None)
-@given(combinations())
-def test_packed_sum_matches_dict_sum(pairs):
+@given(combinations(), combinations(keyed_vectors()))
+def test_packed_sum_matches_dict_sum(pairs, keyed):
     got = linear_combination(Z2, pairs)
     assert got == reference_linear_combination(Z2, pairs)
     direct = MultiPoly.zero(Z2)
     for c, poly in pairs:
         direct = direct + poly.scale(c)
     assert got == direct
+    # the kernel itself, on keys that are not exponent vectors
+    got = _combination(keyed)
+    assert got == reference_combination(keyed)
+    for key in {key for _, v in keyed for key in v}:
+        assert got.get(key, S_ZERO) == sum((c * v.get(key, S_ZERO) for c, v in keyed), S_ZERO)
 
 
 @settings(max_examples=150, deadline=None)
@@ -304,6 +409,19 @@ def test_m_to_p_inverse_matches_the_per_expansion_solve():
     _same(list(got.values()), list(want.values()))
 
 
+def test_m_to_p_matches_the_dict_sum():
+    for d in range(7):
+        for lam in pt.partitions_of(d):
+            for coeffs in (macdonald_m_expansion(lam, d), {lam: S_ONE}):
+                e = SymExpansion("m", d, coeffs)
+                got = monomial_to_power_expansion(e).coeffs
+                want = reference_dict_m_to_p(e)
+                assert list(got) == list(want), lam
+                _same(list(got.values()), list(want.values()))
+    e = SymExpansion("m", 4, {(): S_ONE, (2, 1): qt_ratio(2), (1, 1, 1, 1): S_ONE})
+    assert monomial_to_power_expansion(e).coeffs == reference_dict_m_to_p(e)
+
+
 def _random_scalar(rng):
     def poly():
         return QTPolynomial({(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-3, 3)
@@ -345,6 +463,46 @@ def test_m_expansion_matches_the_per_term_sum():
                 want = reference_m_expansion(lam, N)
                 assert list(got) == list(want), (lam, N)
                 _same(list(got.values()), list(want.values()))
+
+
+def test_eigen_solve_matches_the_cleared_dict_sum():
+    for d in range(1, 7):
+        for N in sorted({d, max(d - 2, 1)}):
+            for lam in pt.partitions_of(d, max_length=N):
+                got = macdonald_m_expansion(lam, N)
+                want = reference_cleared_m_expansion(lam, N)
+                assert list(got) == list(want), (lam, N)
+                _same(list(got.values()), list(want.values()))
+
+
+# ---------------------------------------------------------------------------
+# interpolation values and evaluation
+# ---------------------------------------------------------------------------
+
+def test_interpolation_values_match_the_dict_sum():
+    shapes = pt.partitions_up_to(5)
+    for lam in shapes:
+        for mu in shapes:
+            got = shifted.interpolation_value(lam, mu)
+            want = reference_interpolation_value(lam, mu)
+            assert got == want, (lam, mu)
+            _same([got], [want])
+
+
+def test_evaluate_matches_the_dict_sum():
+    rng = random.Random(20071)
+    for N in (1, 2, 3):
+        space = VarSpace.z(N)
+        for _ in range(15):
+            f = MultiPoly(space, {tuple(rng.randint(0, 3) for _ in range(N)): _random_scalar(rng)
+                                  for _ in range(rng.randint(0, 5))})
+            point = [_random_scalar(rng) for _ in range(N)]
+            got = f.evaluate(point)
+            _same([got], [reference_evaluate(f, point)])
+    # a sum that cancels to zero
+    x = MultiPoly.variable(VarSpace.z(2), 0)
+    y = MultiPoly.variable(VarSpace.z(2), 1)
+    assert (x - y).evaluate([S_ONE / 3, S_ONE / 3]).is_zero()
 
 
 # ---------------------------------------------------------------------------
