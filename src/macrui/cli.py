@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import MacruiError, MalformedInputError, NonDivisibleError
@@ -17,6 +18,7 @@ from . import partitions as pt
 from .macdonald import (macdonald_polynomial, macdonald_tableau_sum,
                         skew_tableau_sum, super_macdonald, super_tableau_sum)
 from .operators import apply_deformed_mr, apply_mr, mr_eigenvalue
+from .polyring import _MAX_VARIABLES, MultiPoly
 from .shifted import (evaluate_at_partition, fat_hook_point,
                       interpolation_by_branching, interpolation_polynomial,
                       shifted_super_macdonald, shifted_super_tableau_sum)
@@ -54,27 +56,19 @@ def _emit(payload, fmt, text_renderer):
         print(text_renderer())
 
 
-def _poly_result(request, f, args):
+def _result(request, value, args):
+    """Emit a polynomial or scalar result, evaluated at --at when given."""
+    poly = isinstance(value, MultiPoly)
     if args.at:
-        q0, t0 = parse_at(args.at)
-        payload = {"request": request, "result": jsonio.poly_to_json_at(f, q0, t0)}
+        to_json = jsonio.poly_to_json_at if poly else jsonio.scalar_to_json_at
+        result = to_json(value, *parse_at(args.at))
     else:
-        payload = {"request": request, "result": jsonio.poly_to_json(f)}
-    if request.get("verb", "").startswith(("super", "shifted-super")) and f.is_zero():
-        lam = tuple(request.get("lambda", []))
-        if not pt.in_fat_hook(lam, request.get("n", 0), request.get("m", 0)):
+        result = (jsonio.poly_to_json if poly else jsonio.scalar_to_json)(value)
+    payload = {"request": request, "result": result}
+    if request["verb"].startswith(("super", "shifted-super")) and value.is_zero():
+        if not pt.in_fat_hook(tuple(request["lambda"]), request["n"], request["m"]):
             payload["note"] = "outside fat hook"
-    _emit(payload, args.format, lambda: str(f))
-    return 0
-
-
-def _scalar_result(request, s, args):
-    if args.at:
-        q0, t0 = parse_at(args.at)
-        payload = {"request": request, "result": jsonio.scalar_to_json_at(s, q0, t0)}
-    else:
-        payload = {"request": request, "result": jsonio.scalar_to_json(s)}
-    _emit(payload, args.format, lambda: str(s))
+    _emit(payload, args.format, lambda: str(value))
     return 0
 
 
@@ -94,10 +88,51 @@ def _load_poly(args):
     return None
 
 
-def _add_common(p):
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--at", metavar="q0,t0", default=None,
-                   help="evaluate coefficients at exact rational parameters")
+# Every construction verb: its library builder, the alphabet it renders in
+# ("N": --N variables, by default l(lam) and at least |lam| for a shifted
+# verb; "mu N": the same for the skew shape lam/mu; "n m": --n x- and --m
+# y-variables), its ceiling on the weight of --lambda and its ceiling on the
+# terms it renders.  ``eval`` builds with the verb its --which names.  Each
+# ceiling is the largest request whose cold run finished within about a
+# minute on a 2-vCPU host, Python 3.11 (the README lists the times); a
+# larger request is refused before any work.
+Construction = namedtuple("Construction", "builder alphabet weight terms")
+_CONSTRUCTIONS = {
+    "macdonald": Construction(macdonald_polynomial, "N", 8, 225169),
+    "macdonald-comb": Construction(macdonald_tableau_sum, "N", 18, 71876),
+    "skew": Construction(skew_tableau_sum, "mu N", 15, 52689),
+    "super": Construction(super_macdonald, "n m", 8, 100947),
+    "super-comb": Construction(super_tableau_sum, "n m", 22, 38760),
+    "shifted": Construction(interpolation_polynomial, "N", 7, 52119),
+    "shifted-comb": Construction(interpolation_by_branching, "N", 7, 25689),
+    "shifted-super": Construction(shifted_super_macdonald, "n m", 7, 27132),
+    "shifted-super-comb": Construction(shifted_super_tableau_sum, "n m", 13, 12376),
+}
+_HELP = {"macdonald": "symmetric eigenfunction polynomial of a shape",
+         "skew": "skew tableau-sum polynomial",
+         "super": "two-alphabet restriction of the polynomial",
+         "shifted": "interpolation polynomial of a shape",
+         "shifted-super": "shifted two-alphabet polynomial"}
+
+# The two operator verbs: the operator, the input --lambda names, its builder
+# and alphabet, what the verb needs without --poly, the variable ceiling, and
+# the ceiling on the input's size: its terms times ``growth`` per variable, a
+# factor that the cost of one input term was measured to exceed from one
+# variable to the next, so that fewer variables admit more terms but not
+# more time.  Both size ceilings are --lambda 1 at the variable ceiling.
+Operator = namedtuple("Operator",
+                      "apply build source alphabet needs variables growth size")
+_OPERATORS = {
+    "apply-mr": Operator(apply_mr, monomial_symmetric, "monomial", "N",
+                         "--lambda or --poly/--poly-file", 17, 2, 17 * 2 ** 17),
+    "apply-deformed-mr": Operator(apply_deformed_mr, _CONSTRUCTIONS["super"].builder,
+                                  "super", "n m",
+                                  "--poly/--poly-file or --lambda with --n, --m",
+                                  9, 4, 9 * 4 ** 9),
+}
+_VERB_CEILINGS = {**{verb: c.weight for verb, c in _CONSTRUCTIONS.items()},
+                  "eigenvalue": 4000000}
+_VARIABLE_CEILINGS = {verb: op.variables for verb, op in _OPERATORS.items()}
 
 
 def build_parser():
@@ -109,35 +144,21 @@ def build_parser():
 
     def verb(name, **kw):
         p = sub.add_parser(name, **kw)
-        _add_common(p)
+        p.add_argument("--format", choices=("json", "text"), default="json")
+        p.add_argument("--at", metavar="q0,t0", default=None,
+                       help="evaluate coefficients at exact rational parameters")
         return p
 
-    for name in ("macdonald", "macdonald-comb"):
-        p = verb(name, help="symmetric eigenfunction polynomial of a shape")
+    for name, construction in _CONSTRUCTIONS.items():
+        p = verb(name, help=_HELP[name.removesuffix("-comb")])
         p.add_argument("--lambda", dest="lam", required=True)
+        if construction.alphabet == "n m":
+            p.add_argument("--n", type=int, required=True)
+            p.add_argument("--m", type=int, required=True)
+            continue
+        if construction.alphabet == "mu N":
+            p.add_argument("--mu", required=True)
         p.add_argument("--N", type=int, default=None)
-
-    p = verb("skew", help="skew tableau-sum polynomial")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--N", type=int, default=None)
-
-    for name in ("super", "super-comb"):
-        p = verb(name, help="two-alphabet restriction of the polynomial")
-        p.add_argument("--lambda", dest="lam", required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--m", type=int, required=True)
-
-    for name in ("shifted", "shifted-comb"):
-        p = verb(name, help="interpolation polynomial of a shape")
-        p.add_argument("--lambda", dest="lam", required=True)
-        p.add_argument("--N", type=int, default=None)
-
-    for name in ("shifted-super", "shifted-super-comb"):
-        p = verb(name, help="shifted two-alphabet polynomial")
-        p.add_argument("--lambda", dest="lam", required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--m", type=int, required=True)
 
     p = verb("apply-mr", help="apply the difference operator")
     p.add_argument("--lambda", dest="lam", default=None,
@@ -175,138 +196,109 @@ def build_parser():
     return ap
 
 
-# The largest request of each verb whose cold run finished within about a
-# minute on a 2-vCPU host, Python 3.11 (the README lists the times).  The
-# weight of --lambda bounds every construction; ``eval`` constructs with the
-# verb that --which names, and ``apply-deformed-mr --lambda`` with ``super``.
-# The variable count bounds the two operator verbs.  A larger request is
-# refused before any work.
-_VERB_CEILINGS = {
-    "macdonald": 8,
-    "macdonald-comb": 18,
-    "skew": 15,
-    "super": 8,
-    "super-comb": 22,
-    "shifted": 7,
-    "shifted-comb": 7,
-    "shifted-super": 7,
-    "shifted-super-comb": 13,
-    "eigenvalue": 4000000,
-}
-_VARIABLE_CEILINGS = {"apply-mr": 17, "apply-deformed-mr": 9}
-
-
 def _refuse_above(what, size, ceiling):
     if size > ceiling:
         raise MacruiError(f"{what} {size} is above the ceiling {ceiling}, the "
                           f"largest that finishes in about a minute")
 
 
-def _check_ceilings(args):
-    """Refuse a construction above its verb's weight ceiling, before any work."""
+def _check_weight(args):
+    """Refuse a construction above its weight ceiling, before any work: the
+    one --which names, an operator's --lambda input, else the verb's own."""
     verb = args.verb
-    builder = {"eval": getattr(args, "which", None),
-               "apply-deformed-mr": "super"}.get(verb, verb)
-    if builder in _VERB_CEILINGS and args.lam is not None:
+    name = _OPERATORS[verb].source if verb in _OPERATORS else getattr(args, "which", verb)
+    if name in _VERB_CEILINGS and args.lam is not None:
         _refuse_above(f"{verb}: the weight of --lambda",
-                      pt.weight(parse_partition(args.lam)), _VERB_CEILINGS[builder])
+                      pt.weight(parse_partition(args.lam)), _VERB_CEILINGS[name])
 
 
-def _check_variables(verb, count):
-    _refuse_above(f"{verb}: the variable count", count, _VARIABLE_CEILINGS[verb])
+def _rendered_terms(name, lam, space, mu=()):
+    """At most how many terms construction ``name`` renders, counted from the
+    request alone; 0 for an alphabet that its builder refuses."""
+    if min(space.values()) < 0 or sum(space.values()) > _MAX_VARIABLES:
+        return 0
+    if "n" in space:
+        # symmetric in each alphabet only: any monomial of the degree
+        bound = (pt.weight(lam),)
+    elif pt.contains(mu, lam):
+        # a tableau letter fills at most one box of each column of lam/mu
+        heights = [pt.part(pt.conjugate(lam), j) - pt.part(pt.conjugate(mu), j)
+                   for j in range(1, pt.part(lam, 1) + 1)]
+        bound = pt.conjugate(tuple(sorted((h for h in heights if h), reverse=True)))
+    else:
+        return 0
+    return pt.monomials_below(bound, sum(space.values()), graded=name.startswith("shifted"))
+
+
+def _check_operator(verb, variables, terms):
+    """Refuse an operator input above the verb's variable or size ceiling."""
+    _refuse_above(f"{verb}: the variable count", variables, _VARIABLE_CEILINGS[verb])
+    op = _OPERATORS[verb]
+    _refuse_above(f"{verb}: the input size (terms x {op.growth}^variables)",
+                  terms * op.growth ** max(variables, 0), op.size)
+
+
+def _alphabet(alphabet, args, lam, *floor):
+    """The variables a request renders in: {"n": n, "m": m}, or {"N": N}
+    with N defaulting to the largest of l(lam), 1 and ``floor``."""
+    if alphabet == "n m":
+        return {"n": args.n, "m": args.m}
+    return {"N": args.N if args.N is not None else max(len(lam), 1, *floor)}
+
+
+def _construct(name, args, lam, *floor, **skew):
+    """The alphabet of construction ``name`` and its polynomial, built after
+    the term check."""
+    builder, alphabet, _, ceiling = _CONSTRUCTIONS[name]
+    space = _alphabet(alphabet, args, lam, *floor)
+    _refuse_above(f"{args.verb}: the term count",
+                  _rendered_terms(name, lam, space, **skew), ceiling)
+    return space, builder(lam, *skew.values(), *space.values())
 
 
 def _run(args):
     verb = args.verb
-    _check_ceilings(args)
-    if verb in ("macdonald", "macdonald-comb"):
+    _check_weight(args)
+    if verb in _CONSTRUCTIONS:
         lam = parse_partition(args.lam)
-        N = args.N if args.N is not None else max(len(lam), 1)
-        f = (macdonald_polynomial(lam, N) if verb == "macdonald"
-             else macdonald_tableau_sum(lam, N))
-        return _poly_result({"verb": verb, "lambda": list(lam), "N": N}, f, args)
+        skew = ({"mu": parse_partition(args.mu)}
+                if _CONSTRUCTIONS[verb].alphabet == "mu N" else {})
+        space, f = _construct(verb, args, lam,
+                              *[pt.weight(lam)] * verb.startswith("shifted"), **skew)
+        return _result({"verb": verb, "lambda": list(lam), **space,
+                        **{k: list(v) for k, v in skew.items()}}, f, args)
 
-    if verb == "skew":
-        lam, mu = parse_partition(args.lam), parse_partition(args.mu)
-        N = args.N if args.N is not None else max(len(lam), 1)
-        f = skew_tableau_sum(lam, mu, N)
-        return _poly_result({"verb": verb, "lambda": list(lam), "mu": list(mu), "N": N},
-                            f, args)
-
-    if verb in ("super", "super-comb"):
-        lam = parse_partition(args.lam)
-        f = (super_macdonald(lam, args.n, args.m) if verb == "super"
-             else super_tableau_sum(lam, args.n, args.m))
-        return _poly_result({"verb": verb, "lambda": list(lam),
-                             "n": args.n, "m": args.m}, f, args)
-
-    if verb in ("shifted", "shifted-comb"):
-        lam = parse_partition(args.lam)
-        N = args.N if args.N is not None else max(pt.weight(lam), len(lam), 1)
-        f = (interpolation_polynomial(lam, N) if verb == "shifted"
-             else interpolation_by_branching(lam, N))
-        return _poly_result({"verb": verb, "lambda": list(lam), "N": N}, f, args)
-
-    if verb in ("shifted-super", "shifted-super-comb"):
-        lam = parse_partition(args.lam)
-        f = (shifted_super_macdonald(lam, args.n, args.m) if verb == "shifted-super"
-             else shifted_super_tableau_sum(lam, args.n, args.m))
-        return _poly_result({"verb": verb, "lambda": list(lam),
-                             "n": args.n, "m": args.m}, f, args)
-
-    if verb == "apply-mr":
+    if verb in _OPERATORS:
+        op = _OPERATORS[verb]
         f = _load_poly(args)
         request = {"verb": verb}
         if f is None:
-            if args.lam is None:
-                raise MacruiError("apply-mr needs --lambda or --poly/--poly-file")
+            if args.lam is None or (op.alphabet == "n m" and None in (args.n, args.m)):
+                raise MacruiError(f"{verb} needs {op.needs}")
             lam = parse_partition(args.lam)
-            N = args.N if args.N is not None else max(len(lam), 1)
-            _check_variables(verb, N)
-            f = monomial_symmetric(lam, N)
-            request.update({"lambda": list(lam), "N": N, "input": "monomial"})
-        _check_variables(verb, f.space.dim)
-        return _poly_result(request, apply_mr(f), args)
-
-    if verb == "apply-deformed-mr":
-        f = _load_poly(args)
-        request = {"verb": verb}
-        if f is None:
-            if args.lam is None or args.n is None or args.m is None:
-                raise MacruiError(
-                    "apply-deformed-mr needs --poly/--poly-file or --lambda with --n, --m")
-            lam = parse_partition(args.lam)
-            _check_variables(verb, args.n + args.m)
-            f = super_macdonald(lam, args.n, args.m)
-            request.update({"lambda": list(lam), "n": args.n, "m": args.m,
-                            "input": "super"})
-        _check_variables(verb, f.space.dim)
-        return _poly_result(request, apply_deformed_mr(f), args)
+            space = _alphabet(op.alphabet, args, lam)
+            terms = (_rendered_terms(op.source, lam, space) if op.source in _CONSTRUCTIONS
+                     else pt.orbit_size(lam, space["N"]))
+            _check_operator(verb, sum(space.values()), terms)
+            f = op.build(lam, *space.values())
+            request.update({"lambda": list(lam), **space, "input": op.source})
+        else:
+            _check_operator(verb, f.space.dim, len(f.terms))
+        return _result(request, op.apply(f), args)
 
     if verb == "eigenvalue":
         lam = parse_partition(args.lam)
-        return _scalar_result({"verb": verb, "lambda": list(lam)},
-                              mr_eigenvalue(lam), args)
+        return _result({"verb": verb, "lambda": list(lam)}, mr_eigenvalue(lam), args)
 
     if verb == "eval":
         lam, mu = parse_partition(args.lam), parse_partition(args.mu)
-        request = {"verb": verb, "which": args.which,
-                   "lambda": list(lam), "mu": list(mu)}
-        if args.which in ("macdonald", "shifted"):
-            N = args.N if args.N is not None else max(
-                pt.weight(lam), len(lam), len(mu), 1)
-            f = (macdonald_polynomial(lam, N) if args.which == "macdonald"
-                 else interpolation_polynomial(lam, N))
-            request["N"] = N
-            value = evaluate_at_partition(f, mu)
-        else:
-            if args.n is None or args.m is None:
-                raise MacruiError("eval for two-alphabet objects needs --n and --m")
-            request.update({"n": args.n, "m": args.m})
-            f = (super_macdonald(lam, args.n, args.m) if args.which == "super"
-                 else shifted_super_macdonald(lam, args.n, args.m))
-            value = f.evaluate(fat_hook_point(mu, args.n, args.m))
-        return _scalar_result(request, value, args)
+        if _CONSTRUCTIONS[args.which].alphabet == "n m" and None in (args.n, args.m):
+            raise MacruiError("eval for two-alphabet objects needs --n and --m")
+        space, f = _construct(args.which, args, lam, pt.weight(lam), len(mu))
+        value = (f.evaluate(fat_hook_point(mu, **space)) if "n" in space
+                 else evaluate_at_partition(f, mu))
+        return _result({"verb": verb, "which": args.which, "lambda": list(lam),
+                        "mu": list(mu), **space}, value, args)
 
     if verb == "verify":
         if args.at is not None:
@@ -349,7 +341,7 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (MacruiError, ValueError, OSError) as exc:
+    except (MacruiError, ValueError, OSError, MemoryError) as exc:
         error = {"kind": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, NonDivisibleError) and exc.remainder is not None:
             error["remainder"] = jsonio.poly_to_json(exc.remainder)

@@ -3,17 +3,20 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from macrui import jsonio
+from macrui import cli, jsonio
 from macrui.cli import _VARIABLE_CEILINGS, _VERB_CEILINGS, main, parse_partition
 from macrui.errors import MacruiError
+from macrui.partitions import in_fat_hook
 from macrui.macdonald import macdonald_polynomial, super_macdonald
 from macrui.polyring import MultiPoly, VarSpace
 from macrui.scalar import S_ONE, S_Q, S_T
@@ -198,6 +201,8 @@ def test_verify_text_format():
     ["eigenvalue", "--lambda", "1", "--at", "1/0,2"],
     ["apply-mr", "--poly", "{}"],
     ["apply-mr", "--poly", "[1]"],
+    ["apply-mr", "--poly", "{not json"],
+    ["apply-deformed-mr", "--poly", "[1, 2"],
 ])
 def test_malformed_input_is_structured_error(argv):
     code, out = run_cli(argv)
@@ -401,3 +406,166 @@ def test_oversized_variable_count_is_refused(argv, capsys):
     assert error["kind"] == "ValueError"
     assert "at most 64 variables" in error["message"]
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_poly_file_input(tmp_path):
+    f = macdonald_polynomial((2,), 2)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(jsonio.poly_to_json(f)))
+    code, out = run_cli(["apply-mr", "--poly-file", str(path)])
+    assert code == 0
+    assert jsonio.poly_from_json(json.loads(out)["result"]) == f.scale(-(1 + S_Q))
+    path.write_text("{not json")
+    code, out = run_cli(["apply-mr", "--poly-file", str(path)])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "MalformedInputError" and str(path) in error["message"]
+    code, out = run_cli(["apply-mr", "--poly-file", str(tmp_path / "missing.json")])
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["apply-mr", "--N", "2"], "apply-mr needs --lambda or --poly/--poly-file"),
+    (["apply-deformed-mr", "--lambda", "1", "--n", "1"],
+     "apply-deformed-mr needs --poly/--poly-file or --lambda with --n, --m"),
+    (["eval", "--which", "shifted-super", "--lambda", "1", "--mu", "1", "--m", "1"],
+     "eval for two-alphabet objects needs --n and --m"),
+])
+def test_missing_arguments_are_structured_errors(argv, message):
+    code, out = run_cli(argv)
+    assert code == 1
+    assert json.loads(out)["error"] == {"kind": "MacruiError", "message": message}
+
+
+def test_numeric_evaluation_of_a_polynomial():
+    code, out = run_cli(["macdonald", "--lambda", "2", "--N", "2", "--at", "1/2,3"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["at"] == {"q": "1/2", "t": "3"}
+    f = macdonald_polynomial((2,), 2)
+    assert {tuple(t["exp"]): t["coeff"] for t in result["terms"]} \
+        == {e: str(c.evaluate(Fraction(1, 2), Fraction(3))) for e, c in f.terms.items()}
+
+
+def test_readme_command_lines_run():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if "macrui" in line]
+    assert len(lines) > 10
+    for line in lines:
+        if "<polynomial JSON>" in line:
+            continue
+        argv = shlex.split(line, comments=True)
+        code, out = run_cli(argv[argv.index("macrui") + 1:])
+        assert code == 0, line
+        assert "error" not in out, line
+
+
+def test_memory_error_is_a_structured_report(monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError("out of memory")
+    row = cli._CONSTRUCTIONS["macdonald"]
+    monkeypatch.setitem(cli._CONSTRUCTIONS, "macdonald", row._replace(builder=exhausted))
+    code, out = run_cli(["macdonald", "--lambda", "2", "--N", "2"])
+    assert code == 1
+    assert json.loads(out) == {"error": {"kind": "MemoryError", "message": "out of memory"}}
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _small_requests():
+    for verb, (_, alphabet, _, _) in sorted(cli._CONSTRUCTIONS.items()):
+        for lam in [(1,), (2,), (1, 1), (2, 1), (3,), (2, 1, 1), (3, 2)]:
+            for N in range(1, 6):
+                space = {"n": N // 2, "m": N - N // 2} if alphabet == "n m" else {"N": N}
+                if alphabet == "n m" and not in_fat_hook(lam, N // 2, N - N // 2):
+                    continue
+                if "N" in space and N < (sum(lam) if verb.startswith("shifted") else len(lam)):
+                    continue
+                yield verb, lam, space
+
+
+@pytest.mark.parametrize("verb, lam, space", list(_small_requests()))
+def test_term_count_bounds_the_rendering(verb, lam, space):
+    # the count is exact for P_lam; the skew count is taken for lam/(1)
+    builder, alphabet, _, _ = cli._CONSTRUCTIONS[verb]
+    skew = {"mu": (1,)} if alphabet == "mu N" else {}
+    terms = len(builder(lam, *skew.values(), *space.values()).terms)
+    count = cli._rendered_terms(verb, lam, space, **skew)
+    assert terms <= count
+    if verb.startswith("macdonald"):
+        assert terms == count
+
+
+def _just_above(verb, ceiling, count):
+    """The smallest variable count whose count(N) is above the ceiling."""
+    N = 1
+    while count(N) <= ceiling:
+        N += 1
+    assert N <= 64, verb
+    return N
+
+
+@pytest.mark.parametrize("verb", sorted(cli._CONSTRUCTIONS))
+def test_construction_above_its_term_ceiling_is_refused(verb, capsys):
+    builder, alphabet, _, ceiling = cli._CONSTRUCTIONS[verb]
+    lam, skew = ((3, 2, 1), {"mu": (1,)}) if alphabet == "mu N" else ((3, 2, 1), {})
+    if alphabet == "n m":
+        n = _just_above(verb, ceiling, lambda k: cli._rendered_terms(
+            verb, lam, {"n": k, "m": k}, **skew))
+        argv = ["--n", str(n), "--m", str(n)]
+    else:
+        N = _just_above(verb, ceiling, lambda k: cli._rendered_terms(
+            verb, lam, {"N": k}, **skew))
+        argv = ["--N", str(N)] + (["--mu", "1"] if skew else [])
+    _refused_at_once([verb, "--lambda", "3,2,1"] + argv, capsys)
+    if verb in ("macdonald", "shifted", "super", "shifted-super"):
+        _refused_at_once(["eval", "--which", verb, "--lambda", "3,2,1", "--mu", "1"]
+                         + argv, capsys)
+
+
+def test_found_oversized_requests_are_refused(capsys):
+    # P_(2,1,1,1) in 64 variables has 10,166,016 terms, m_(4,3,2,1) in 17
+    # variables 57,120
+    _refused_at_once(["macdonald", "--lambda", "2,1,1,1", "--N", "64"], capsys)
+    _refused_at_once(["eval", "--which", "macdonald", "--lambda", "2,1,1,1",
+                      "--mu", ",".join(["1"] * 64)], capsys)
+    _refused_at_once(["apply-mr", "--lambda", "4,3,2,1", "--N", "17"], capsys)
+    poly = jsonio.poly_to_json(macdonald_polynomial((1, 1), 17))
+    _refused_at_once(["apply-mr", "--poly", json.dumps(poly)], capsys)
+    poly = jsonio.poly_to_json(super_macdonald((2, 1), 5, 4))
+    _refused_at_once(["apply-deformed-mr", "--poly", json.dumps(poly)], capsys)
+    _refused_at_once(["apply-deformed-mr", "--lambda", "2,1", "--n", "5", "--m", "4"],
+                     capsys)
+
+
+def test_readme_ceiling_rows_are_under_the_term_ceilings():
+    # the shape at each verb's weight ceiling, at its default alphabet
+    rows = {"macdonald": ((1,) * 8, {"N": 8}),
+            "macdonald-comb": ((9,) + (1,) * 9, {"N": 10}),
+            "skew": ((8,) + (1,) * 7, {"N": 8}),
+            "super": ((4, 1, 1, 1, 1), {"n": 2, "m": 2}),
+            "super-comb": ((11,) + (1,) * 11, {"n": 2, "m": 2}),
+            "shifted": ((7,), {"N": 7}),
+            "shifted-comb": ((7,), {"N": 7}),
+            "shifted-super": ((7,), {"n": 2, "m": 2}),
+            "shifted-super-comb": ((7,) + (1,) * 6, {"n": 2, "m": 2})}
+    assert set(rows) == set(cli._CONSTRUCTIONS)
+    for verb, (lam, space) in rows.items():
+        skew = {"mu": (1,)} if verb == "skew" else {}
+        assert cli._rendered_terms(verb, lam, space, **skew) <= cli._CONSTRUCTIONS[verb].terms
+    # --lambda 1 at the variable ceiling: N terms in N variables
+    for verb, op in cli._OPERATORS.items():
+        assert op.variables * op.growth ** op.variables <= op.size
+
+
+def test_readme_lists_the_size_ceilings():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = {}
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        verb = cells[0].strip("`")
+        if len(cells) == 4 and (verb in cli._CONSTRUCTIONS or verb in cli._OPERATORS):
+            table[verb] = int(cells[1].replace(",", ""))
+    assert table == {**{verb: c.terms for verb, c in cli._CONSTRUCTIONS.items()},
+                     **{verb: op.size for verb, op in cli._OPERATORS.items()}}
