@@ -473,28 +473,23 @@ def test_memory_error_is_a_structured_report(monkeypatch, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def _small_requests():
-    for verb, (_, alphabet, _, _) in sorted(cli._CONSTRUCTIONS.items()):
-        for lam in [(1,), (2,), (1, 1), (2, 1), (3,), (2, 1, 1), (3, 2)]:
-            for N in range(1, 6):
-                space = {"n": N // 2, "m": N - N // 2} if alphabet == "n m" else {"N": N}
-                if alphabet == "n m" and not in_fat_hook(lam, N // 2, N - N // 2):
-                    continue
-                if "N" in space and N < (sum(lam) if verb.startswith("shifted") else len(lam)):
-                    continue
-                yield verb, lam, space
-
-
-@pytest.mark.parametrize("verb, lam, space", list(_small_requests()))
-def test_term_count_bounds_the_rendering(verb, lam, space):
-    # the count is exact for P_lam; the skew count is taken for lam/(1)
+@pytest.mark.parametrize("verb", sorted(cli._CONSTRUCTIONS))
+def test_term_count_bounds_the_rendering(verb):
+    # exact for P_lam; the skew count is taken for lam/(1)
     builder, alphabet, _, _ = cli._CONSTRUCTIONS[verb]
     skew = {"mu": (1,)} if alphabet == "mu N" else {}
-    terms = len(builder(lam, *skew.values(), *space.values()).terms)
-    count = cli._rendered_terms(verb, lam, space, **skew)
-    assert terms <= count
-    if verb.startswith("macdonald"):
-        assert terms == count
+    for lam in [(1,), (2,), (1, 1), (2, 1), (3,), (2, 1, 1), (3, 2)]:
+        for N in range(1, 6):
+            space = {"n": N // 2, "m": N - N // 2} if alphabet == "n m" else {"N": N}
+            if alphabet == "n m" and not in_fat_hook(lam, N // 2, N - N // 2):
+                continue
+            if "N" in space and N < (sum(lam) if verb.startswith("shifted") else len(lam)):
+                continue
+            terms = len(builder(lam, *skew.values(), *space.values()).terms)
+            count = cli._rendered_terms(verb, lam, space, **skew)
+            assert terms <= count, (lam, space)
+            if verb.startswith("macdonald"):
+                assert terms == count, (lam, space)
 
 
 def _just_above(verb, ceiling, count):
