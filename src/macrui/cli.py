@@ -263,8 +263,8 @@ def _run(args):
         lam = parse_partition(args.lam)
         skew = ({"mu": parse_partition(args.mu)}
                 if _CONSTRUCTIONS[verb].alphabet == "mu N" else {})
-        space, f = _construct(verb, args, lam,
-                              *[pt.weight(lam)] * verb.startswith("shifted"), **skew)
+        floor = (pt.weight(lam),) if verb.startswith("shifted") else ()
+        space, f = _construct(verb, args, lam, *floor, **skew)
         return _result({"verb": verb, "lambda": list(lam), **space,
                         **{k: list(v) for k, v in skew.items()}}, f, args)
 

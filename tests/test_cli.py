@@ -534,6 +534,12 @@ def test_found_oversized_requests_are_refused(capsys):
                      capsys)
 
 
+def test_operator_just_above_its_size_ceiling_is_refused(capsys):
+    # the next sizes in the README table: 105 x 2^15 and 120 x 4^8
+    _refused_at_once(["apply-mr", "--lambda", "1,1", "--N", "15"], capsys)
+    _refused_at_once(["apply-deformed-mr", "--lambda", "3", "--n", "4", "--m", "4"], capsys)
+
+
 def test_readme_ceiling_rows_are_under_the_term_ceilings():
     # the shape at each verb's weight ceiling, at its default alphabet
     rows = {"macdonald": ((1,) * 8, {"N": 8}),
