@@ -92,6 +92,22 @@ CLI_DIGESTS = {
         (1, '8b0969dc0506e760b125095626cd851a621a619f51974112113a8bdfdd564575'),
     ("eval", "--which", "super", "--lambda", "1", "--mu", "1"):
         (1, 'e67239abcba14dd0a86d73d744a319e396573adc106801fe2561c36f5938c2cb'),
+    # the errors of eval, recorded while it still rendered the polynomial
+    ("eval", "--which", "macdonald", "--lambda", "1,1,1", "--mu", "1", "--N", "2"):
+        (1, 'f88c3733f3cc6041c496097ab9afbbe0bda9a2211bbb9c97cf643198f26c3793'),
+    ("eval", "--which", "macdonald", "--lambda", "2,1", "--mu", "1,1,1", "--N", "2"):
+        (1, '4df2dd76c0bdedf5f64552bbfbc92e3d75815daf629d2f93056281d9487d3ce8'),
+    ("eval", "--which", "shifted", "--lambda", "3", "--mu", "1", "--N", "2"):
+        (1, '9ef938f82a81633e5aa9ba166370918165ed356a485acfdafdb218507ac17f10'),
+    ("eval", "--which", "super", "--lambda", "1", "--mu", "2,2", *TWO):
+        (1, '4635f298462b424611f6f85d5aecf3f755051fb9fc227154d36942d4334fc955'),
+    ("eval", "--which", "macdonald", "--lambda", "1", "--mu", "1", "--N", "65"):
+        (1, 'cdc9450e28e2d0c4939cfe6bf968b70830f05bc0189de661b7354a95f4b90977'),
+    ("eval", "--which", "shifted-super", "--lambda", "1", "--mu", "1",
+     "--n", "40", "--m", "25"):
+        (1, 'cdc9450e28e2d0c4939cfe6bf968b70830f05bc0189de661b7354a95f4b90977'),
+    ("eval", "--which", "shifted", "--lambda", "8", "--mu", "1"):
+        (1, '5ade90a771d39303078f23b7b551cfa3e760bdc18c8f9ba91f598fa3252fe0c9'),
 }
 
 
