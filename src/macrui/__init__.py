@@ -28,7 +28,7 @@ from .partitions import (arm_leg, as_partition, conjugate,
                          normalization_alignment, partitions_of,
                          partitions_up_to, subpartitions, weight)
 from .polyring import MultiPoly, VarSpace, linear_combination
-from .symfun import (SymExpansion, deformed_newton_sum,
+from .symfun import (SymExpansion, deformed_newton_sum, expansion_value,
                      from_monomial_expansion, from_shifted_power_expansion,
                      in_deformed_algebra, is_shifted_symmetric,
                      monomial_symmetric, monomial_to_power_expansion,
@@ -54,8 +54,8 @@ _LAZY = {
     **dict.fromkeys(("duality_check", "evaluate_at_partition", "fat_hook_point",
                      "interpolation_by_branching", "interpolation_polynomial",
                      "interpolation_pstar_expansion", "interpolation_value",
-                     "shifted_super_macdonald", "shifted_super_tableau_sum",
-                     "shifted"), "shifted"),
+                     "partition_point", "shifted_super_macdonald",
+                     "shifted_super_tableau_sum", "shifted"), "shifted"),
     **dict.fromkeys(("SUITES", "run_suite", "verify"), "verify"),
 }
 

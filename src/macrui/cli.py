@@ -15,14 +15,15 @@ from fractions import Fraction
 from .errors import MacruiError, MalformedInputError, NonDivisibleError
 from . import jsonio
 from . import partitions as pt
-from .macdonald import (macdonald_polynomial, macdonald_tableau_sum,
+from .macdonald import (macdonald_p_expansion, macdonald_polynomial, macdonald_tableau_sum,
                         skew_tableau_sum, super_macdonald, super_tableau_sum)
 from .operators import apply_deformed_mr, apply_mr, mr_eigenvalue
-from .polyring import _MAX_VARIABLES, MultiPoly
-from .shifted import (evaluate_at_partition, fat_hook_point,
-                      interpolation_by_branching, interpolation_polynomial,
-                      shifted_super_macdonald, shifted_super_tableau_sum)
-from .symfun import monomial_symmetric
+from .polyring import _MAX_VARIABLES, MultiPoly, VarSpace
+from .shifted import (_check_variable_count, fat_hook_point, interpolation_by_branching,
+                      interpolation_polynomial, interpolation_pstar_expansion,
+                      interpolation_value, partition_point, shifted_super_macdonald,
+                      shifted_super_tableau_sum)
+from .symfun import expansion_value, monomial_symmetric
 from .verify import SUITES, _WEIGHT_CEILINGS, run_suite
 
 
@@ -92,7 +93,7 @@ def _load_poly(args):
 # ("N": --N variables, by default l(lam) and at least |lam| for a shifted
 # verb; "mu N": the same for the skew shape lam/mu; "n m": --n x- and --m
 # y-variables), its ceiling on the weight of --lambda and its ceiling on the
-# terms it renders.  ``eval`` builds with the verb its --which names.  Each
+# terms it renders.  ``eval`` keeps the weight ceiling of its --which.  Each
 # ceiling is the largest request whose cold run finished within about a
 # minute on a 2-vCPU host, Python 3.11 (the README lists the times); a
 # larger request is refused before any work.
@@ -115,20 +116,19 @@ _HELP = {"macdonald": "symmetric eigenfunction polynomial of a shape",
          "shifted-super": "shifted two-alphabet polynomial"}
 
 # The two operator verbs: the operator, the input --lambda names, its builder
-# and alphabet, what the verb needs without --poly, the variable ceiling, and
-# the ceiling on the input's size: its terms times ``growth`` per variable, a
-# factor that the cost of one input term was measured to exceed from one
-# variable to the next, so that fewer variables admit more terms but not
-# more time.  Both size ceilings are --lambda 1 at the variable ceiling.
+# and alphabet, what the verb needs without --poly, and its ceilings on the
+# variables and the input's degree.  The size is the input's terms times
+# ``growth`` per variable, which the cost of one term was measured to exceed
+# per added variable; its ceiling is that of --lambda 1 at the variable ceiling.
 Operator = namedtuple("Operator",
-                      "apply build source alphabet needs variables growth size")
+                      "apply build source alphabet needs variables growth degree")
+Operator.size = property(lambda op: op.variables * op.growth ** op.variables)
 _OPERATORS = {
     "apply-mr": Operator(apply_mr, monomial_symmetric, "monomial", "N",
-                         "--lambda or --poly/--poly-file", 17, 2, 17 * 2 ** 17),
+                         "--lambda or --poly/--poly-file", 17, 2, 2200),
     "apply-deformed-mr": Operator(apply_deformed_mr, _CONSTRUCTIONS["super"].builder,
-                                  "super", "n m",
-                                  "--poly/--poly-file or --lambda with --n, --m",
-                                  9, 4, 9 * 4 ** 9),
+                                  "super", "n m", "--poly/--poly-file or --lambda with "
+                                  "--n, --m", 9, 4, 102400),
 }
 _VERB_CEILINGS = {**{verb: c.weight for verb, c in _CONSTRUCTIONS.items()},
                   "eigenvalue": 4000000}
@@ -230,12 +230,13 @@ def _rendered_terms(name, lam, space, mu=()):
     return pt.monomials_below(bound, sum(space.values()), graded=name.startswith("shifted"))
 
 
-def _check_operator(verb, variables, terms):
-    """Refuse an operator input above the verb's variable or size ceiling."""
+def _check_operator(verb, variables, terms, degree):
+    """Refuse an operator input above the verb's variable, size or degree ceiling."""
     _refuse_above(f"{verb}: the variable count", variables, _VARIABLE_CEILINGS[verb])
     op = _OPERATORS[verb]
     _refuse_above(f"{verb}: the input size (terms x {op.growth}^variables)",
                   terms * op.growth ** max(variables, 0), op.size)
+    _refuse_above(f"{verb}: the input degree", degree, op.degree)
 
 
 def _alphabet(alphabet, args, lam, *floor):
@@ -246,27 +247,20 @@ def _alphabet(alphabet, args, lam, *floor):
     return {"N": args.N if args.N is not None else max(len(lam), 1, *floor)}
 
 
-def _construct(name, args, lam, *floor, **skew):
-    """The alphabet of construction ``name`` and its polynomial, built after
-    the term check."""
-    builder, alphabet, _, ceiling = _CONSTRUCTIONS[name]
-    space = _alphabet(alphabet, args, lam, *floor)
-    _refuse_above(f"{args.verb}: the term count",
-                  _rendered_terms(name, lam, space, **skew), ceiling)
-    return space, builder(lam, *skew.values(), *space.values())
-
-
 def _run(args):
     verb = args.verb
     _check_weight(args)
     if verb in _CONSTRUCTIONS:
+        builder, alphabet, _, ceiling = _CONSTRUCTIONS[verb]
         lam = parse_partition(args.lam)
-        skew = ({"mu": parse_partition(args.mu)}
-                if _CONSTRUCTIONS[verb].alphabet == "mu N" else {})
+        skew = {"mu": parse_partition(args.mu)} if alphabet == "mu N" else {}
         floor = (pt.weight(lam),) if verb.startswith("shifted") else ()
-        space, f = _construct(verb, args, lam, *floor, **skew)
+        space = _alphabet(alphabet, args, lam, *floor)
+        _refuse_above(f"{verb}: the term count",
+                      _rendered_terms(verb, lam, space, **skew), ceiling)
         return _result({"verb": verb, "lambda": list(lam), **space,
-                        **{k: list(v) for k, v in skew.items()}}, f, args)
+                        **{k: list(v) for k, v in skew.items()}},
+                       builder(lam, *skew.values(), *space.values()), args)
 
     if verb in _OPERATORS:
         op = _OPERATORS[verb]
@@ -279,11 +273,11 @@ def _run(args):
             space = _alphabet(op.alphabet, args, lam)
             terms = (_rendered_terms(op.source, lam, space) if op.source in _CONSTRUCTIONS
                      else pt.orbit_size(lam, space["N"]))
-            _check_operator(verb, sum(space.values()), terms)
+            _check_operator(verb, sum(space.values()), terms, pt.weight(lam))
             f = op.build(lam, *space.values())
             request.update({"lambda": list(lam), **space, "input": op.source})
         else:
-            _check_operator(verb, f.space.dim, len(f.terms))
+            _check_operator(verb, f.space.dim, len(f.terms), f.degree())
         return _result(request, op.apply(f), args)
 
     if verb == "eigenvalue":
@@ -291,13 +285,21 @@ def _run(args):
         return _result({"verb": verb, "lambda": list(lam)}, mr_eigenvalue(lam), args)
 
     if verb == "eval":
-        lam, mu = parse_partition(args.lam), parse_partition(args.mu)
-        if _CONSTRUCTIONS[args.which].alphabet == "n m" and None in (args.n, args.m):
+        which, lam, mu = args.which, parse_partition(args.lam), parse_partition(args.mu)
+        alphabet = _CONSTRUCTIONS[which].alphabet
+        if alphabet == "n m" and None in (args.n, args.m):
             raise MacruiError("eval for two-alphabet objects needs --n and --m")
-        space, f = _construct(args.which, args, lam, pt.weight(lam), len(mu))
-        value = (f.evaluate(fat_hook_point(mu, **space)) if "n" in space
-                 else evaluate_at_partition(f, mu))
-        return _result({"verb": verb, "which": args.which, "lambda": list(lam),
+        space = _alphabet(alphabet, args, lam, pt.weight(lam), len(mu))
+        if "n" in space:
+            variables, point = VarSpace.xy(args.n, args.m), fat_hook_point(mu, args.n, args.m)
+        else:
+            N = space["N"]
+            (pt.check_parts if which == "macdonald" else _check_variable_count)(lam, N)
+            variables, point = VarSpace.z(N), partition_point(mu, N)
+        expansion = interpolation_pstar_expansion if "shifted" in which else macdonald_p_expansion
+        value = (interpolation_value(lam, mu) if which == "shifted"
+                 else expansion_value(expansion(lam), variables, point))
+        return _result({"verb": verb, "which": which, "lambda": list(lam),
                         "mu": list(mu), **space}, value, args)
 
     if verb == "verify":

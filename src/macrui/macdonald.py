@@ -47,8 +47,7 @@ def macdonald_m_expansion(lam, N):
     N = |lam|, and a smaller N solves on the partitions with at most N parts.
     """
     lam = pt.as_partition(lam)
-    if len(lam) > N:
-        raise InvalidPartitionError(f"{lam} needs more than {N} variables")
+    pt.check_parts(lam, N)
     return _macdonald_m_expansion(lam, min(N, pt.weight(lam)))
 
 

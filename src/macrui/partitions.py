@@ -33,6 +33,12 @@ def weight(lam):
     return sum(lam)
 
 
+def check_parts(lam, N):
+    """Refuse a partition with more than N parts."""
+    if len(lam) > N:
+        raise InvalidPartitionError(f"{lam} needs more than {N} variables")
+
+
 def part(lam, i):
     """The i-th part (1-based), zero beyond the length."""
     return lam[i - 1] if 1 <= i <= len(lam) else 0

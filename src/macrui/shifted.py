@@ -19,36 +19,27 @@ from .errors import InvalidPartitionError, SingularSystemError
 from . import partitions as pt
 from .linalg import solve_square
 from .macdonald import _inner_shape_sum, _strip_sum
-from .polyring import _cleared, _numerator_sums
-from .scalar import S_ONE, S_ZERO, q_pow, qt_monomial, t_pow
-from .symfun import (SymExpansion, from_shifted_power_expansion,
+from .polyring import VarSpace, _cleared, _numerator_sums
+from .scalar import S_ZERO, q_pow, t_pow
+from .symfun import (SymExpansion, _cleared_values, from_shifted_power_expansion,
                      restrict_shifted_expansion)
 
 
 def _pstar_products(basis, nu):
-    """The values p*_mu(q^nu) for mu in ``basis``.  Each shifted power sum
-    p*_r(q^nu) = sum_i (q^{r nu_i} - 1) t^{r(i-1)} is computed once, and the
-    products are formed from those values."""
-    top = max((mu[0] for mu in basis if mu), default=0)
-    single = [S_ONE] + [sum((qt_monomial(r * p, r * i) - t_pow(r * i)
-                             for i, p in enumerate(nu)), S_ZERO)
-                        for r in range(1, top + 1)]
-    values = []
-    for mu in basis:
-        v = S_ONE
-        for r in mu:
-            v = v * single[r]
-        values.append(v)
-    return values
+    """The values p*_mu(q^nu) for mu in ``basis``, formed from the shifted
+    power sums p*_r(q^nu), each computed once.  A trailing coordinate 1 adds
+    nothing to a shifted power sum, so the point has l(nu) coordinates."""
+    point = [q_pow(p) for p in nu]
+    return [v for _, v in _cleared_values("pstar", VarSpace.z(len(nu)), point, basis)]
 
 
 def _check_variable_count(lam, N):
-    if len(lam) > N:
-        raise InvalidPartitionError(f"{lam} needs more than {N} variables")
-    if N < pt.weight(lam):
-        raise SingularSystemError(
-            f"the vanishing characterization of {lam} needs at least "
-            f"{pt.weight(lam)} variables")
+    if lam:  # for the empty shape, VarSpace.z rejects a negative N
+        pt.check_parts(lam, N)
+        if N < pt.weight(lam):
+            raise SingularSystemError(
+                f"the vanishing characterization of {lam} needs at least "
+                f"{pt.weight(lam)} variables")
 
 
 def interpolation_pstar_expansion(lam):
@@ -92,8 +83,7 @@ def interpolation_polynomial(lam, N):
     do not pin the polynomial down and the call is rejected.
     """
     lam = pt.as_partition(lam)
-    if lam:  # for the empty shape, VarSpace.z rejects a negative N
-        _check_variable_count(lam, N)
+    _check_variable_count(lam, N)
     return from_shifted_power_expansion(interpolation_pstar_expansion(lam), N)
 
 
@@ -113,14 +103,19 @@ def interpolation_value(lam, mu):
                            den).get((), S_ZERO)
 
 
-def evaluate_at_partition(f, mu):
-    """Evaluate a z-space polynomial at the point (q^{mu_1}, ..., q^{mu_N}),
-    trailing coordinates equal to 1.  For an interpolation polynomial,
-    ``interpolation_value`` gives the same value without the polynomial."""
+def partition_point(mu, N):
+    """The point (q^{mu_1}, ..., q^{mu_N}), trailing coordinates equal to 1."""
     mu = pt.as_partition(mu)
-    if len(mu) > f.space.dim:
+    if len(mu) > N:
         raise InvalidPartitionError(f"{mu} has more parts than variables")
-    return f.evaluate([q_pow(pt.part(mu, i + 1)) for i in range(f.space.dim)])
+    return [q_pow(pt.part(mu, i + 1)) for i in range(N)]
+
+
+def evaluate_at_partition(f, mu):
+    """Evaluate a z-space polynomial at the point of mu.  For an
+    interpolation polynomial, ``interpolation_value`` gives the same value
+    without the polynomial."""
+    return f.evaluate(partition_point(mu, f.space.dim))
 
 
 # ---------------------------------------------------------------------------

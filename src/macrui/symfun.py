@@ -443,3 +443,43 @@ def restrict_shifted_expansion(e, n, m):
         raise ValueError("shifted restriction acts on p*-expansions")
     return _restrict_cleared(
         e, lambda mu: _cleared_image(_shifted_newton_factor, mu, n, m), n, m)
+
+
+@cache
+def _generator(basis, space, r):
+    """s_r and the cleared image g_r of p_r (``basis`` "p") or p*_r ("pstar"):
+    the power sum itself in a z-space, s_r = 1, and s_r = 1 - t^r times its
+    restriction in an xy-space."""
+    if space.kind == "z":
+        return S_ONE, (power_sum if basis == "p" else shifted_power_sum)(r, space.n)
+    factor = _newton_factor if basis == "p" else _shifted_newton_factor
+    return one_minus_t(r), factor(r, space.n, space.m)
+
+
+def _cleared_values(basis, space, point, mus):
+    """s_mu and the value at ``point`` of the cleared image prod_{r in mu} g_r,
+    for each mu in ``mus``: each g_r is evaluated once, and each product
+    extends that of mu without its last part."""
+    @cache
+    def value(mu):
+        if not mu:
+            return S_ONE, S_ONE
+        if len(mu) == 1:
+            s_r, g_r = _generator(basis, space, mu[0])
+            return s_r, g_r.evaluate(point)
+        (s, v), (s_r, g_r) = value(mu[:-1]), value(mu[-1:])
+        return s * s_r, v * g_r
+
+    return [value(mu) for mu in mus]
+
+
+def expansion_value(e, space, point):
+    """The value at ``point``, whose coordinates lie in Z[q, t], of a p- or
+    p*-expansion rendered in a z-space, or of its restriction to an xy-space,
+    with nothing rendered: sum_mu (c_mu / s_mu) prod_{r in mu} g_r(point) as
+    one cleared combination."""
+    if e.basis == "m":
+        raise ValueError("values are read off p- and p*-expansions")
+    values = _cleared_values(e.basis, space, point, list(e.coeffs))
+    return _combination((c / s, {(): v}) for c, (s, v) in
+                        zip(e.coeffs.values(), values)).get((), S_ZERO)

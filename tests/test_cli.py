@@ -20,6 +20,7 @@ from macrui.partitions import in_fat_hook
 from macrui.macdonald import macdonald_polynomial, super_macdonald
 from macrui.polyring import MultiPoly, VarSpace
 from macrui.scalar import S_ONE, S_Q, S_T
+from macrui.symfun import deformed_newton_sum, monomial_symmetric
 from macrui.verify import SUITES, _WEIGHT_CEILINGS, run_suite
 
 
@@ -136,10 +137,11 @@ def test_verify_verb_passes():
 
 
 def test_invalid_partition_is_structured_error():
-    code, out = run_cli(["macdonald", "--lambda", "1,2"])
-    assert code == 1
-    payload = json.loads(out)
-    assert "error" in payload
+    # (3) is not inside (2): the term count is 0 and the builder refuses
+    for argv in (["macdonald", "--lambda", "1,2"], ["skew", "--lambda", "2", "--mu", "3"]):
+        code, out = run_cli(argv)
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == "InvalidPartitionError", argv
 
 
 def test_text_format():
@@ -203,6 +205,12 @@ def test_verify_text_format():
     ["apply-mr", "--poly", "[1]"],
     ["apply-mr", "--poly", "{not json"],
     ["apply-deformed-mr", "--poly", "[1, 2"],
+    ["apply-mr", "--poly", '{"space": {"kind": "z", "N": 1}, "terms": 5}'],
+    ["apply-mr", "--poly", '{"space": {"kind": "z", "N": "x"}, "terms": []}'],
+    ["apply-mr", "--poly", '{"space": {"kind": "z", "N": -1}, "terms": []}'],
+    ["apply-mr", "--poly", '{"space": {"kind": "w", "N": 1}, "terms": []}'],
+    ["apply-mr", "--poly", '{"space": {"kind": "z", "N": 2}, "terms": [{"exp": [1], '
+                           '"coeff": {"num": [[0, 0, "1"]], "den": [[0, 0, "1"]]}}]}'],
 ])
 def test_malformed_input_is_structured_error(argv):
     code, out = run_cli(argv)
@@ -289,6 +297,13 @@ def _refused_at_once(argv, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def _answered_within(argv, seconds=5):
+    start = time.perf_counter()
+    code, out = run_cli(argv)
+    assert time.perf_counter() - start < seconds, argv
+    assert code == 0 and "result" in json.loads(out), argv
+
+
 @pytest.mark.parametrize("verb", sorted(_VERB_CEILINGS))
 def test_construction_above_its_weight_ceiling_is_refused(verb, capsys):
     extra = (["--n", "1", "--m", "1"] if "super" in verb
@@ -319,6 +334,29 @@ def test_operator_above_its_variable_ceiling_is_refused(capsys):
                      capsys)
     poly = jsonio.poly_to_json(MultiPoly.one(VarSpace.xy(1, k - 1)))
     _refused_at_once(["apply-deformed-mr", "--poly", json.dumps(poly)], capsys)
+
+
+def test_operator_above_its_degree_ceiling_is_refused(capsys):
+    # the power sum p_d in two variables, on which the ceilings were measured
+    d = cli._OPERATORS["apply-mr"].degree + 1
+    for N in ("1", "2"):
+        _refused_at_once(["apply-mr", "--lambda", str(d), "--N", N], capsys)
+    _refused_at_once(["apply-mr", "--lambda", "20000", "--N", "2"], capsys)
+    poly = jsonio.poly_to_json(monomial_symmetric((d,), 2))
+    _refused_at_once(["apply-mr", "--poly", json.dumps(poly)], capsys)
+    d = cli._OPERATORS["apply-deformed-mr"].degree + 1
+    poly = jsonio.poly_to_json(deformed_newton_sum(d, 1, 1))
+    _refused_at_once(["apply-deformed-mr", "--poly", json.dumps(poly)], capsys)
+
+
+def test_readme_lists_the_degree_ceilings():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = {}
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].strip("`") in cli._OPERATORS:
+            table[cells[0].strip("`")] = int(cells[1].replace(",", ""))
+    assert table == {verb: op.degree for verb, op in cli._OPERATORS.items()}
 
 
 def test_readme_lists_the_verb_ceilings():
@@ -515,16 +553,16 @@ def test_construction_above_its_term_ceiling_is_refused(verb, capsys):
         argv = ["--N", str(N)] + (["--mu", "1"] if skew else [])
     _refused_at_once([verb, "--lambda", "3,2,1"] + argv, capsys)
     if verb in ("macdonald", "shifted", "super", "shifted-super"):
-        _refused_at_once(["eval", "--which", verb, "--lambda", "3,2,1", "--mu", "1"]
-                         + argv, capsys)
+        # eval renders nothing, so the term count does not bound it
+        _answered_within(["eval", "--which", verb, "--lambda", "3,2,1", "--mu", "1"] + argv)
 
 
 def test_found_oversized_requests_are_refused(capsys):
     # P_(2,1,1,1) in 64 variables has 10,166,016 terms, m_(4,3,2,1) in 17
     # variables 57,120
     _refused_at_once(["macdonald", "--lambda", "2,1,1,1", "--N", "64"], capsys)
-    _refused_at_once(["eval", "--which", "macdonald", "--lambda", "2,1,1,1",
-                      "--mu", ",".join(["1"] * 64)], capsys)
+    _answered_within(["eval", "--which", "macdonald", "--lambda", "2,1,1,1",
+                      "--mu", ",".join(["1"] * 64)])
     _refused_at_once(["apply-mr", "--lambda", "4,3,2,1", "--N", "17"], capsys)
     poly = jsonio.poly_to_json(macdonald_polynomial((1, 1), 17))
     _refused_at_once(["apply-mr", "--poly", json.dumps(poly)], capsys)

@@ -3,7 +3,9 @@
 The sha256 digests of standard output were recorded while each verb was
 still written out as its own branch of ``cli._run``.  Reading the verbs from
 one table must keep every request JSON, result, message and exit code
-byte-identical.
+byte-identical.  ``eval`` reads its values off the N-independent
+expansions, so its requests print the same bytes with every builder of the
+verb table replaced by one that raises.
 """
 
 import hashlib
@@ -12,6 +14,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from macrui import cli
 from macrui.cli import main
 
 TWO = ["--n", "1", "--m", "1"]
@@ -120,4 +123,14 @@ def _run(argv):
 
 @pytest.mark.parametrize("argv", sorted(CLI_DIGESTS), ids=" ".join)
 def test_cli_bytes_are_pinned(argv):
+    assert _run(argv) == CLI_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(a for a in CLI_DIGESTS if a[0] == "eval"),
+                         ids=" ".join)
+def test_eval_renders_nothing(argv, monkeypatch):
+    def render(*args):
+        raise AssertionError("eval rendered a polynomial")
+    for verb, row in cli._CONSTRUCTIONS.items():
+        monkeypatch.setitem(cli._CONSTRUCTIONS, verb, row._replace(builder=render))
     assert _run(argv) == CLI_DIGESTS[argv]
