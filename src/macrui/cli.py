@@ -286,10 +286,9 @@ def _run(args):
 
     if verb == "eval":
         which, lam, mu = args.which, parse_partition(args.lam), parse_partition(args.mu)
-        alphabet = _CONSTRUCTIONS[which].alphabet
-        if alphabet == "n m" and None in (args.n, args.m):
+        space = _alphabet(_CONSTRUCTIONS[which].alphabet, args, lam, pt.weight(lam), len(mu))
+        if None in space.values():
             raise MacruiError("eval for two-alphabet objects needs --n and --m")
-        space = _alphabet(alphabet, args, lam, pt.weight(lam), len(mu))
         if "n" in space:
             variables, point = VarSpace.xy(args.n, args.m), fat_hook_point(mu, args.n, args.m)
         else:

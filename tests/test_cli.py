@@ -137,7 +137,7 @@ def test_verify_verb_passes():
 
 
 def test_invalid_partition_is_structured_error():
-    # (3) is not inside (2): the term count is 0 and the builder refuses
+    # the skew shape (2)/(3) does not exist: its term count is 0 and its builder refuses
     for argv in (["macdonald", "--lambda", "1,2"], ["skew", "--lambda", "2", "--mu", "3"]):
         code, out = run_cli(argv)
         assert code == 1
