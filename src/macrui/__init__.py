@@ -34,7 +34,7 @@ from .symfun import (SymExpansion, deformed_newton_sum, expansion_value,
                      monomial_symmetric, monomial_to_power_expansion,
                      power_sum, power_sum_product, qt_ratio_automorphism,
                      restrict_p_expansion, restrict_shifted_expansion,
-                     shifted_power_product, shifted_power_sum,
+                     shifted_power_sum,
                      to_monomial_expansion, to_shifted_power_expansion)
 from .operators import (OperatorResult, apply_deformed_mr,
                         apply_deformed_mr_detailed, apply_mr,

@@ -21,8 +21,7 @@ from .operators import apply_deformed_mr, apply_mr, mr_eigenvalue
 from .polyring import _MAX_VARIABLES, MultiPoly, VarSpace
 from .shifted import (_check_variable_count, fat_hook_point, interpolation_by_branching,
                       interpolation_polynomial, interpolation_pstar_expansion,
-                      interpolation_value, partition_point, shifted_super_macdonald,
-                      shifted_super_tableau_sum)
+                      partition_point, shifted_super_macdonald, shifted_super_tableau_sum)
 from .symfun import expansion_value, monomial_symmetric
 from .verify import SUITES, _WEIGHT_CEILINGS, run_suite
 
@@ -296,8 +295,7 @@ def _run(args):
             (pt.check_parts if which == "macdonald" else _check_variable_count)(lam, N)
             variables, point = VarSpace.z(N), partition_point(mu, N)
         expansion = interpolation_pstar_expansion if "shifted" in which else macdonald_p_expansion
-        value = (interpolation_value(lam, mu) if which == "shifted"
-                 else expansion_value(expansion(lam), variables, point))
+        value = expansion_value(expansion(lam), variables, point)
         return _result({"verb": verb, "which": which, "lambda": list(lam),
                         "mu": list(mu), **space}, value, args)
 

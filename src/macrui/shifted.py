@@ -21,7 +21,7 @@ from .linalg import solve_square
 from .macdonald import _inner_shape_sum, _strip_sum
 from .polyring import VarSpace, _cleared, _numerator_sums
 from .scalar import S_ZERO, q_pow, t_pow
-from .symfun import (SymExpansion, _cleared_values, from_shifted_power_expansion,
+from .symfun import (SymExpansion, _cleared_products, from_shifted_power_expansion,
                      restrict_shifted_expansion)
 
 
@@ -30,7 +30,7 @@ def _pstar_products(basis, nu):
     power sums p*_r(q^nu), each computed once.  A trailing coordinate 1 adds
     nothing to a shifted power sum, so the point has l(nu) coordinates."""
     point = [q_pow(p) for p in nu]
-    return [v for _, v in _cleared_values("pstar", VarSpace.z(len(nu)), point, basis)]
+    return [v for _, v in _cleared_products("pstar", VarSpace.z(len(nu)), basis, point)]
 
 
 def _check_variable_count(lam, N):

@@ -98,24 +98,12 @@ def monomial_symmetric(lam, N):
 
 def power_sum(r, N):
     """p_r = sum of r-th powers in N variables."""
-    if r < 1:
-        raise ValueError("power sums need r >= 1")
-    space = VarSpace.z(N)
-    terms = {}
-    for i in range(N):
-        e = [0] * N
-        e[i] = r
-        terms[tuple(e)] = S_ONE
-    return MultiPoly._raw(space, terms)
+    return _generator("p", VarSpace.z(N), r)[1]
 
 
 def power_sum_product(lam, N):
     """p_lambda = product of p_{lambda_k}; the empty product is 1."""
-    lam = pt.as_partition(lam)
-    out = MultiPoly.one(VarSpace.z(N))
-    for k in lam:
-        out = out * power_sum(k, N)
-    return out
+    return _cleared_products("p", VarSpace.z(N), [pt.as_partition(lam)])[0][1]
 
 
 def to_monomial_expansion(f):
@@ -133,6 +121,8 @@ def to_monomial_expansion(f):
 
 
 def from_monomial_expansion(e):
+    if e.basis != "m":
+        raise ValueError("expected an m-expansion")
     return linear_combination(
         VarSpace.z(e.N),
         [(c, monomial_symmetric(lam, e.N)) for lam, c in e.coeffs.items()])
@@ -230,58 +220,84 @@ def qt_ratio_automorphism(e):
 
 
 # ---------------------------------------------------------------------------
-# deformed Newton sums and the restriction to two alphabets
+# the generator images: every rendering, restriction and value of a p- or
+# p*-expansion
 # ---------------------------------------------------------------------------
 
 @cache
-def deformed_newton_sum(r, n, m):
-    """p_r(x, y, q, t) = sum x_i^r + ((1-q^r)/(1-t^r)) * sum y_j^r."""
+def _generator(basis, space, r):
+    """s_r and the cleared image g_r of p_r (``basis`` "p") or p*_r ("pstar")
+    in ``space``, with Z[q, t] coefficients.  With e = 0 for p_r and 1 for p*_r,
+
+        g_r = s_r sum_i (x_i^r - e) t^{e r (i-1)}
+              + (1 - q^r) sum_j (y_j^r - e t^{rn}) q^{e r (j-1)}.
+
+    In a z-space (no y) s_r = 1 and g_r is the power sum itself; in an
+    xy-space s_r = 1 - t^r and g_r is s_r times the restriction of the
+    generator.  The terms are written out rather than summed as packed
+    integers, whose size grows with r^2: r reaches 102,401, the degree of the
+    deformed Newton sum that ``apply-deformed-mr`` refuses."""
     if r < 1:
-        raise ValueError("Newton sums need r >= 1")
-    space = VarSpace.xy(n, m)
+        raise ValueError("power sums need r >= 1")
+    e, n, dim = int(basis == "pstar"), space.n, space.dim
+    s_r = S_ONE if space.kind == "z" else one_minus_t(r)
+    weights = ([s_r * t_pow(e * r * i) for i in range(n)]
+               + [one_minus_q(r) * q_pow(e * r * j) for j in range(space.m)])
     terms = {}
-    for i in space.x_indices():
-        e = [0] * space.dim
-        e[i] = r
-        terms[tuple(e)] = S_ONE
-    ratio = qt_ratio(r)
-    for j in space.y_indices():
-        e = [0] * space.dim
-        e[j] = r
-        terms[tuple(e)] = ratio
-    return MultiPoly._raw(space, terms)
+    # the constant first: products keep this term order, and with the constant
+    # last, `shifted --lambda 3,2,1 --N 9` peaked 0.3 MB higher
+    if e:
+        terms[(0,) * dim] = -(sum(weights[:n], S_ZERO)
+                              + t_pow(r * n) * sum(weights[n:], S_ZERO))
+    terms.update((tuple(r if k == i else 0 for k in range(dim)), c)
+                 for i, c in enumerate(weights))
+    return s_r, MultiPoly(space, terms)
 
 
-def _newton_factor(r, n, m):
-    """(1 - t^r) p_r(x) + (1 - q^r) p_r(y), which is (1 - t^r) times the image
-    of p_r, with Z[q, t] coefficients."""
-    return deformed_newton_sum(r, n, m).scale(one_minus_t(r))
+def _cleared_products(basis, space, mus, point=None):
+    """s_mu and the cleared image prod_{r in mu} g_r, or its value at
+    ``point`` when one is given, for each mu in ``mus``.  Each g_r is taken
+    (and evaluated) once, and each product extends that of mu without its
+    last part; the products are kept for this call only, since in a z-space
+    they grow with N."""
+    @cache
+    def product(mu):
+        if not mu:
+            return S_ONE, MultiPoly.one(space) if point is None else S_ONE
+        if len(mu) == 1:
+            s_r, g_r = _generator(basis, space, mu[0])
+            return s_r, g_r if point is None else g_r.evaluate(point)
+        (s, v), (s_r, g_r) = product(mu[:-1]), product(mu[-1:])
+        return s * s_r, v * g_r
 
-
-def _shifted_newton_factor(r, n, m):
-    """(1 - t^r) times the image of p*_r under the shifted restriction:
-    (1 - t^r) sum_i (x_i^r - 1) t^{r(i-1)}
-    + (1 - q^r) sum_j (y_j^r - t^{rn}) q^{r(j-1)}, with Z[q, t] coefficients."""
-    space = VarSpace.xy(n, m)
-    pairs = [(one_minus_t(r) * t_pow(r * i), MultiPoly.variable(space, i) ** r - 1)
-             for i in range(n)]
-    pairs += [(one_minus_q(r) * q_pow(r * j),
-               MultiPoly.variable(space, n + j) ** r - t_pow(r * n))
-              for j in range(m)]
-    return linear_combination(space, pairs)
+    out = [product(mu) for mu in mus]
+    product.cache_clear()  # the recursion makes a cycle that refcounting would not free
+    return out
 
 
 @cache
-def _cleared_image(factor, mu, n, m):
-    """s_mu = prod_k (1 - t^{mu_k}) and s_mu times the image of the generator
-    product over mu, which is the product of the cleared generator images
-    ``factor(k, n, m)`` and has Z[q, t] coefficients.  Built on the image of
-    the prefix mu[:-1]."""
-    if not mu:
-        return S_ONE, MultiPoly.one(VarSpace.xy(n, m))
-    s_prefix, image = _cleared_image(factor, mu[:-1], n, m)
-    k = mu[-1]
-    return s_prefix * one_minus_t(k), image * factor(k, n, m)
+def _cleared_image(basis, space, mu):
+    """s_mu and the cleared image of the generator product over mu in the
+    xy-space ``space``, shared by every restriction that meets mu.  A
+    z-space rendering calls ``_cleared_products`` instead."""
+    return _cleared_products(basis, space, [mu])[0]
+
+
+def _image_sum(e, space, images):
+    """The image of the expansion ``e`` in ``space``: the sum of
+    (c_mu / s_mu) times the cleared image of mu, where ``images`` gives
+    (s_mu, image) for each mu of ``e`` in turn, over one common denominator.
+    Reducing c_mu / s_mu before it joins that denominator keeps it small,
+    which saves more in the final reductions than the gcd costs."""
+    return linear_combination(space, [(c / s, image) for c, (s, image)
+                                      in zip(e.coeffs.values(), images)])
+
+
+def deformed_newton_sum(r, n, m):
+    """p_r(x, y, q, t) = sum x_i^r + ((1-q^r)/(1-t^r)) * sum y_j^r, the
+    restriction of p_r."""
+    s_r, g_r = _generator("p", VarSpace.xy(n, m), r)
+    return g_r.scale(s_r.inverse())
 
 
 def _is_sorted(exps):
@@ -293,23 +309,10 @@ def _cleared_representatives(mu, n, m):
     """s_mu and the block-sorted terms of the cleared image of p_mu: those
     whose x-part and y-part are each weakly decreasing.  The image is
     symmetric in x and, separately, in y, so these terms determine it."""
-    s_mu, image = _cleared_image(_newton_factor, mu, n, m)
+    s_mu, image = _cleared_image("p", VarSpace.xy(n, m), mu)
     reps = {e: c for e, c in image.terms.items()
             if _is_sorted(e[:n]) and _is_sorted(e[n:])}
     return s_mu, MultiPoly._raw(image.space, reps)
-
-
-def _restrict_cleared(e, image, n, m):
-    """Image of an expansion under a restriction map: the sum of
-    (c_mu / s_mu) times the cleared image of mu, which ``image(mu)`` returns
-    with s_mu, over one common denominator.  Reducing c_mu / s_mu before it
-    joins that denominator keeps it small, which saves more in the final
-    reductions than the gcd costs."""
-    pairs = []
-    for mu, c in e.coeffs.items():
-        s_mu, cleared = image(mu)
-        pairs.append((c / s_mu, cleared))
-    return linear_combination(VarSpace.xy(n, m), pairs)
 
 
 def _render_orbits(reps):
@@ -334,8 +337,8 @@ def restrict_p_expansion(e, n, m):
     copied over the orbit."""
     if e.basis != "p":
         raise ValueError("restriction acts on p-expansions")
-    reps = _restrict_cleared(e, lambda mu: _cleared_representatives(mu, n, m), n, m)
-    return _render_orbits(reps)
+    return _render_orbits(_image_sum(e, VarSpace.xy(n, m), [
+        _cleared_representatives(mu, n, m) for mu in e.coeffs]))
 
 
 def in_deformed_algebra(f):
@@ -365,19 +368,7 @@ def in_deformed_algebra(f):
 
 def shifted_power_sum(r, N):
     """p*_r = sum_i (x_i^r - 1) t^{r(i-1)} in N variables."""
-    if r < 1:
-        raise ValueError("shifted power sums need r >= 1")
-    space = VarSpace.z(N)
-    return linear_combination(
-        space, [(t_pow(r * i), MultiPoly.variable(space, i) ** r - 1) for i in range(N)])
-
-
-def shifted_power_product(lam, N):
-    lam = pt.as_partition(lam)
-    out = MultiPoly.one(VarSpace.z(N))
-    for k in lam:
-        out = out * shifted_power_sum(k, N)
-    return out
+    return _generator("pstar", VarSpace.z(N), r)[1]
 
 
 def _to_unshifted_coordinates(f):
@@ -430,9 +421,10 @@ def to_shifted_power_expansion(f):
 
 
 def from_shifted_power_expansion(e, N):
-    return linear_combination(
-        VarSpace.z(N),
-        [(c, shifted_power_product(mu, N)) for mu, c in e.coeffs.items()])
+    if e.basis != "pstar":
+        raise ValueError("expected a p*-expansion")
+    space = VarSpace.z(N)
+    return _image_sum(e, space, _cleared_products("pstar", space, e.coeffs))
 
 
 def restrict_shifted_expansion(e, n, m):
@@ -441,36 +433,8 @@ def restrict_shifted_expansion(e, n, m):
              + ((1-q^r)/(1-t^r)) sum_j (y_j^r - t^{rn}) q^{r(j-1)}."""
     if e.basis != "pstar":
         raise ValueError("shifted restriction acts on p*-expansions")
-    return _restrict_cleared(
-        e, lambda mu: _cleared_image(_shifted_newton_factor, mu, n, m), n, m)
-
-
-@cache
-def _generator(basis, space, r):
-    """s_r and the cleared image g_r of p_r (``basis`` "p") or p*_r ("pstar"):
-    the power sum itself in a z-space, s_r = 1, and s_r = 1 - t^r times its
-    restriction in an xy-space."""
-    if space.kind == "z":
-        return S_ONE, (power_sum if basis == "p" else shifted_power_sum)(r, space.n)
-    factor = _newton_factor if basis == "p" else _shifted_newton_factor
-    return one_minus_t(r), factor(r, space.n, space.m)
-
-
-def _cleared_values(basis, space, point, mus):
-    """s_mu and the value at ``point`` of the cleared image prod_{r in mu} g_r,
-    for each mu in ``mus``: each g_r is evaluated once, and each product
-    extends that of mu without its last part."""
-    @cache
-    def value(mu):
-        if not mu:
-            return S_ONE, S_ONE
-        if len(mu) == 1:
-            s_r, g_r = _generator(basis, space, mu[0])
-            return s_r, g_r.evaluate(point)
-        (s, v), (s_r, g_r) = value(mu[:-1]), value(mu[-1:])
-        return s * s_r, v * g_r
-
-    return [value(mu) for mu in mus]
+    space = VarSpace.xy(n, m)
+    return _image_sum(e, space, [_cleared_image("pstar", space, mu) for mu in e.coeffs])
 
 
 def expansion_value(e, space, point):
@@ -480,6 +444,6 @@ def expansion_value(e, space, point):
     one cleared combination."""
     if e.basis == "m":
         raise ValueError("values are read off p- and p*-expansions")
-    values = _cleared_values(e.basis, space, point, list(e.coeffs))
+    values = _cleared_products(e.basis, space, e.coeffs, point)
     return _combination((c / s, {(): v}) for c, (s, v) in
                         zip(e.coeffs.values(), values)).get((), S_ZERO)

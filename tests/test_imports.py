@@ -8,6 +8,7 @@ first access to one of their names, which then are the module's own objects.
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -71,3 +72,27 @@ def test_lazy_names_are_the_module_objects(module):
 def test_unknown_attribute_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         macrui.no_such_name
+
+
+# every module-level functools cache in the package; each holds its entries
+# for the life of the process, so a new one is a decision to record here
+CACHES = {
+    "macdonald": {"_branching_coefficients", "_macdonald_m_expansion",
+                  "_macdonald_p_expansion", "_mr_monomial_expansion", "_strip_sum"},
+    "shifted": {"_interpolations"},
+    "symfun": {"_cleared_image", "_cleared_representatives", "_generator",
+               "_monomial_in_power_matrix"},
+}
+
+
+def test_module_level_caches_are_pinned():
+    found = {}
+    for info in pkgutil.iter_modules(macrui.__path__):
+        if info.name == "__main__":  # running it runs the CLI
+            continue
+        module = importlib.import_module(f"macrui.{info.name}")
+        names = {name for name, obj in vars(module).items()
+                 if hasattr(obj, "cache_info") and obj.__module__ == module.__name__}
+        if names:
+            found[info.name] = names
+    assert found == CACHES

@@ -529,12 +529,13 @@ print(calls)
 def test_super_restriction_gcd_count_is_pinned():
     # non-monomial gcds of the seven super restrictions of weight 5 at
     # (2, 2), in a fresh process so that no cache is warm; 427 before the
-    # cleared sums, 305 before the eigenvalue was built as a polynomial, and
-    # a rise here means a reduction came back
+    # cleared sums, 305 before the eigenvalue was built as a polynomial, 277
+    # before the generator images were written with cleared coefficients,
+    # and a rise here means a reduction came back
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-c", COUNT_PROBE], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) == 277
+    assert int(proc.stdout) == 236

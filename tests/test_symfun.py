@@ -13,8 +13,8 @@ from macrui.scalar import (QTScalar, S_ONE, S_Q, S_T, one_minus_q,
                            one_minus_t, q_pow, qt_eval, qt_monomial, qt_ratio,
                            t_pow)
 from macrui.shifted import evaluate_at_partition, interpolation_polynomial
-from macrui.symfun import (SymExpansion, deformed_newton_sum,
-                           from_monomial_expansion, in_deformed_algebra, is_shifted_symmetric,
+from macrui.symfun import (SymExpansion, deformed_newton_sum, from_monomial_expansion,
+                           from_shifted_power_expansion, in_deformed_algebra, is_shifted_symmetric,
                            monomial_symmetric, monomial_to_power_expansion,
                            power_sum, power_sum_product, qt_ratio_automorphism,
                            restrict_p_expansion, restrict_shifted_expansion,
@@ -62,6 +62,13 @@ def test_monomial_expansion_round_trip():
         for lam in pt.partitions_of(d):
             P = macdonald_polynomial(lam, 3)
             assert from_monomial_expansion(to_monomial_expansion(P)) == P
+
+
+def test_monomial_rendering_refuses_other_bases():
+    # the keys of a p- or p*-expansion are not monomials: p_11 must not render as z1*z2
+    for basis in ("p", "pstar"):
+        with pytest.raises(ValueError, match="expected an m-expansion"):
+            from_monomial_expansion(SymExpansion(basis, 2, {(1, 1): S_ONE}))
 
 
 def test_monomial_to_power_examples():
@@ -207,6 +214,12 @@ def test_shifted_power_sum_examples():
     assert evaluate_at_partition(shifted_power_sum(1, 2), ()).is_zero()
     sp1 = VarSpace.z(1)
     assert shifted_power_sum(2, 1) == MultiPoly.variable(sp1, 0) ** 2 - 1
+
+
+def test_shifted_rendering_refuses_other_bases():
+    for basis in ("m", "p"):
+        with pytest.raises(ValueError, match="expected a p\\*-expansion"):
+            from_shifted_power_expansion(SymExpansion(basis, 2, {(1, 1): S_ONE}), 2)
 
 
 def test_shifted_expansion_examples():

@@ -1,8 +1,9 @@
 """Values read off the N-independent expansions against rendered polynomials.
 
-``eval`` reads its value off an expansion with ``symfun.expansion_value``
-(or, for the interpolation polynomial in N variables, ``interpolation_value``)
-and renders nothing.  The reference renders the polynomial with the builder
+``eval`` reads its value off an expansion with ``symfun.expansion_value``,
+for every ``--which``, and renders nothing; ``interpolation_value`` gives
+the value of the interpolation polynomial at q^mu off the clearing kept with
+each shape's solve.  The reference renders the polynomial with the builder
 of the construction verb that ``--which`` names and evaluates it term by
 term at the point of mu: ``evaluate_at_partition`` in N variables, or
 ``MultiPoly.evaluate`` at ``fat_hook_point`` in (n, m) variables.  Both
