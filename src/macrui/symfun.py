@@ -245,7 +245,7 @@ def _generator(basis, space, r):
                + [one_minus_q(r) * q_pow(e * r * j) for j in range(space.m)])
     terms = {}
     # the constant first: products keep this term order, and with the constant
-    # last, `shifted --lambda 3,2,1 --N 9` peaked 0.3 MB higher
+    # last, `shifted --lambda 3,2,1 --N 9` peaked about 0.4 MB higher
     if e:
         terms[(0,) * dim] = -(sum(weights[:n], S_ZERO)
                               + t_pow(r * n) * sum(weights[n:], S_ZERO))
