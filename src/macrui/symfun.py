@@ -237,9 +237,9 @@ def _generator(basis, space, r):
     generator.  The terms are written out rather than summed as packed
     integers, whose size grows with r^2: r reaches 102,401, the degree of the
     deformed Newton sum that ``apply-deformed-mr`` refuses."""
-    if r < 1:
-        raise ValueError("power sums need r >= 1")
     e, n, dim = int(basis == "pstar"), space.n, space.dim
+    if r < 1:
+        raise ValueError(f"{'shifted ' if e else ''}power sums need r >= 1")
     s_r = S_ONE if space.kind == "z" else one_minus_t(r)
     weights = ([s_r * t_pow(e * r * i) for i in range(n)]
                + [one_minus_q(r) * q_pow(e * r * j) for j in range(space.m)])
@@ -278,9 +278,14 @@ def _cleared_products(basis, space, mus, point=None):
 @cache
 def _cleared_image(basis, space, mu):
     """s_mu and the cleared image of the generator product over mu in the
-    xy-space ``space``, shared by every restriction that meets mu.  A
-    z-space rendering calls ``_cleared_products`` instead."""
-    return _cleared_products(basis, space, [mu])[0]
+    xy-space ``space``, built on that of mu[:-1] and shared by every
+    restriction that meets mu.  A z-space rendering calls
+    ``_cleared_products`` instead, since its products grow with N."""
+    if not mu:
+        return S_ONE, MultiPoly.one(space)
+    (s, image), (s_r, g_r) = (_cleared_image(basis, space, mu[:-1]),
+                              _generator(basis, space, mu[-1]))
+    return s * s_r, image * g_r
 
 
 def _image_sum(e, space, images):

@@ -216,6 +216,16 @@ def test_shifted_power_sum_examples():
     assert shifted_power_sum(2, 1) == MultiPoly.variable(sp1, 0) ** 2 - 1
 
 
+def test_generators_refuse_r_below_one():
+    for r in (0, -1):
+        with pytest.raises(ValueError, match="^power sums need r >= 1$"):
+            power_sum(r, 2)
+        with pytest.raises(ValueError, match="^shifted power sums need r >= 1$"):
+            shifted_power_sum(r, 2)
+        with pytest.raises(ValueError, match="^power sums need r >= 1$"):
+            deformed_newton_sum(r, 1, 1)
+
+
 def test_shifted_rendering_refuses_other_bases():
     for basis in ("m", "p"):
         with pytest.raises(ValueError, match="expected a p\\*-expansion"):
