@@ -246,8 +246,17 @@ def _alphabet(alphabet, args, lam, *floor):
     return {"N": args.N if args.N is not None else max(len(lam), 1, *floor)}
 
 
+def _check_variable_counts(args):
+    """Refuse a negative --N, --n or --m, before any work."""
+    for flag in ("N", "n", "m"):
+        count = getattr(args, flag, None)
+        if count is not None and count < 0:
+            raise MalformedInputError(f"--{flag} must be nonnegative, got {count}")
+
+
 def _run(args):
     verb = args.verb
+    _check_variable_counts(args)
     _check_weight(args)
     if verb in _CONSTRUCTIONS:
         builder, alphabet, _, ceiling = _CONSTRUCTIONS[verb]

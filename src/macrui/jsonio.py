@@ -8,6 +8,8 @@ identical bytes.  The readers check the schema and raise
 MalformedInputError on input that does not match it.
 """
 
+import re
+
 from .errors import MalformedInputError
 from .polyring import MultiPoly, VarSpace
 from .scalar import QTPolynomial, QTScalar
@@ -28,11 +30,13 @@ def _array(data, what):
 
 
 def _int(x, what, minimum=None):
-    """An integer given as a JSON number or a decimal string."""
-    if isinstance(x, (int, str)) and not isinstance(x, bool):
+    """An integer given as a JSON number or a decimal string: an optional
+    sign and ASCII digits, nothing else."""
+    if (isinstance(x, int) and not isinstance(x, bool)
+            or isinstance(x, str) and re.fullmatch(r"[+-]?[0-9]+", x)):
         try:
             v = int(x)
-        except ValueError:
+        except ValueError:  # a string above the interpreter's digit limit
             pass
         else:
             if minimum is None or v >= minimum:
@@ -52,8 +56,10 @@ def qtpoly_from_json(data):
             raise MalformedInputError(
                 f"q,t polynomial terms are [q_exponent, t_exponent, coefficient], got {term!r}")
         a, b, c = term
-        terms[(_int(a, "a q exponent", 0), _int(b, "a t exponent", 0))] = \
-            _int(c, "a coefficient")
+        exp = (_int(a, "a q exponent", 0), _int(b, "a t exponent", 0))
+        if exp in terms:
+            raise MalformedInputError(f"a q,t polynomial has two terms at {list(exp)}")
+        terms[exp] = _int(c, "a coefficient")
     return QTPolynomial(terms)
 
 
@@ -96,6 +102,8 @@ def poly_from_json(data):
                     for x in _array(_field(t, "exp", "a term"), "an exponent vector"))
         if len(exp) != space.dim:
             raise MalformedInputError(f"exponent vector {list(exp)} does not fit {space!r}")
+        if exp in terms:
+            raise MalformedInputError(f"a polynomial has two terms at {list(exp)}")
         terms[exp] = scalar_from_json(_field(t, "coeff", "a term"))
     return MultiPoly(space, terms)
 

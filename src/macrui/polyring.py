@@ -333,11 +333,22 @@ class MultiPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        if len(a) == 1:  # no two term products meet, so nothing is summed
+            [(e1, c1)] = a.items()
+            return MultiPoly._raw(self.space, {tuple(x + y for x, y in zip(e1, e2)): c1 * c2
+                                               for e2, c2 in b.items()})
+        # as the operator engine does: each factor over its common
+        # denominator, the Z[q, t] numerators multiplied and summed term by
+        # term, and each distinct sum reduced once over the two denominators
+        (a, da), (b, db) = _cleared(a), _cleared(b)
         out = {}
         for e1, c1 in a.items():
             _add_into(out, {tuple(x + y for x, y in zip(e1, e2)): c1 * c2
                             for e2, c2 in b.items()})
-        return MultiPoly._raw(self.space, out)
+        den = da * db
+        if den.terms == P_ONE.terms:  # the sums are already reduced
+            return MultiPoly._raw(self.space, {e: QTScalar._raw(c, P_ONE) for e, c in out.items()})
+        return MultiPoly._raw(self.space, _reduce_each(out, lambda c: QTScalar(c, den)))
 
     __rmul__ = __mul__
 

@@ -19,18 +19,10 @@ from .errors import InvalidPartitionError, SingularSystemError
 from . import partitions as pt
 from .linalg import solve_square
 from .macdonald import _inner_shape_sum, _strip_sum
-from .polyring import VarSpace, _cleared, _numerator_sums
+from .polyring import VarSpace
 from .scalar import S_ZERO, q_pow, t_pow
-from .symfun import (SymExpansion, _cleared_products, from_shifted_power_expansion,
-                     restrict_shifted_expansion)
-
-
-def _pstar_products(basis, nu):
-    """The values p*_mu(q^nu) for mu in ``basis``, formed from the shifted
-    power sums p*_r(q^nu), each computed once.  A trailing coordinate 1 adds
-    nothing to a shifted power sum, so the point has l(nu) coordinates."""
-    point = [q_pow(p) for p in nu]
-    return [v for _, v in _cleared_products("pstar", VarSpace.z(len(nu)), basis, point)]
+from .symfun import (SymExpansion, _cleared_products, expansion_value,
+                     from_shifted_power_expansion, restrict_shifted_expansion)
 
 
 def _check_variable_count(lam, N):
@@ -51,28 +43,27 @@ def interpolation_pstar_expansion(lam):
     variables.
     """
     lam = pt.as_partition(lam)
-    return _interpolations(pt.weight(lam))[lam][0]
+    return _interpolations(pt.weight(lam))[lam]
 
 
 @cache
 def _interpolations(d):
-    """For each shape lambda of weight d, its p*-expansion and the
-    coefficients cleared over one common denominator (nu -> numerator, and
-    the denominator): the form that ``interpolation_value`` sums."""
+    """The p*-expansion of each shape lambda of weight d."""
     # the square collocation system: the unknowns are the shifted power-sum
-    # products of weight at most d, the conditions the values at every point
-    # q^nu of weight at most d; the right-hand side of lambda is zero away
-    # from lambda and the hook product on it
+    # products of weight at most d, the conditions the values p*_mu(q^nu) at
+    # every point q^nu of weight at most d (a trailing coordinate 1 adds
+    # nothing to a shifted power sum, so q^nu has l(nu) coordinates); the
+    # right-hand side of lambda is zero away from lambda and the hook
+    # product on it
     basis = pt.partitions_up_to(d)
-    matrix = [_pstar_products(basis, nu) for nu in basis]
+    matrix = [[v for _, v in _cleared_products("pstar", VarSpace.z(len(nu)), basis,
+                                               partition_point(nu, len(nu)))]
+              for nu in basis]
     shapes = pt.partitions_of(d)
     columns = [[pt.hook_product(lam) if nu == lam else S_ZERO for nu in basis]
                for lam in shapes]
-    out = {}
-    for lam, coeffs in zip(shapes, solve_square(matrix, columns)):
-        expansion = SymExpansion("pstar", d, dict(zip(basis, coeffs)))
-        out[lam] = expansion, _cleared(expansion.coeffs)
-    return out
+    return {lam: SymExpansion("pstar", d, dict(zip(basis, coeffs)))
+            for lam, coeffs in zip(shapes, solve_square(matrix, columns))}
 
 
 def interpolation_polynomial(lam, N):
@@ -90,17 +81,14 @@ def interpolation_polynomial(lam, N):
 def interpolation_value(lam, mu):
     """The value of the interpolation polynomial of shape lambda at q^mu.
 
-    Read off the p*-expansion, with no polynomial rendered: the sum of
-    c_nu p*_nu(q^mu), its numerators summed in Z[q, t] over the shape's
-    common denominator (cleared once, next to the solve) and reduced once.
-    A trailing coordinate 1 adds nothing to a shifted power sum, so the
-    value does not depend on the variable count.
+    Read off the p*-expansion by ``expansion_value``, with no polynomial
+    rendered.  A trailing coordinate 1 adds nothing to a shifted power sum,
+    so the value does not depend on the variable count, and q^mu has l(mu)
+    coordinates.
     """
     lam, mu = pt.as_partition(lam), pt.as_partition(mu)
-    nums, den = _interpolations(pt.weight(lam))[lam][1]
-    values = _pstar_products(nums, mu)
-    return _numerator_sums(((num, {(): v}) for num, v in zip(nums.values(), values)),
-                           den).get((), S_ZERO)
+    return expansion_value(interpolation_pstar_expansion(lam), VarSpace.z(len(mu)),
+                           partition_point(mu, len(mu)))
 
 
 def partition_point(mu, N):

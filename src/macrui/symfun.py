@@ -13,7 +13,7 @@ from .errors import NotSymmetricError, SingularSystemError
 from . import partitions as pt
 from .linalg import solve_square
 from .polyring import (MultiPoly, VarSpace, _cleared, _combination,
-                       linear_combination)
+                       _numerator_sums, linear_combination)
 from .scalar import (P_ONE, QTScalar, S_ONE, S_Q, S_T, S_ZERO, _as_scalar,
                      one_minus_q, one_minus_t, q_pow, qt_ratio, t_pow)
 
@@ -23,10 +23,13 @@ class SymExpansion:
 
     ``basis`` is one of "m", "p", "pstar"; ``N`` records the variable-count
     context the expansion was computed in; ``coeffs`` maps partitions
-    (tuples) to nonzero QTScalar values.
+    (tuples) to nonzero QTScalar values.  ``_clearings`` is the memo of
+    ``expansion_value``: the coefficients over their common denominator, one
+    form per space kind, filled on first use (two threads that race store
+    equal forms).
     """
 
-    __slots__ = ("basis", "N", "coeffs")
+    __slots__ = ("basis", "N", "coeffs", "_clearings")
 
     def __init__(self, basis, N, coeffs=None):
         if basis not in ("m", "p", "pstar"):
@@ -41,6 +44,7 @@ class SymExpansion:
                 if not c.is_zero():
                     clean[lam] = c
         self.coeffs = clean
+        self._clearings = {}
 
     def __eq__(self, other):
         return (isinstance(other, SymExpansion) and self.basis == other.basis
@@ -445,10 +449,19 @@ def restrict_shifted_expansion(e, n, m):
 def expansion_value(e, space, point):
     """The value at ``point``, whose coordinates lie in Z[q, t], of a p- or
     p*-expansion rendered in a z-space, or of its restriction to an xy-space,
-    with nothing rendered: sum_mu (c_mu / s_mu) prod_{r in mu} g_r(point) as
-    one cleared combination."""
+    with nothing rendered: sum_mu (c_mu / s_mu) prod_{r in mu} g_r(point).
+
+    s_mu is 1 in a z-space and depends on mu alone in an xy-space, so the
+    c_mu / s_mu are put over their common denominator once per expansion and
+    space kind, and each value sums the numerators and reduces once."""
     if e.basis == "m":
         raise ValueError("values are read off p- and p*-expansions")
     values = _cleared_products(e.basis, space, e.coeffs, point)
-    return _combination((c / s, {(): v}) for c, (s, v) in
-                        zip(e.coeffs.values(), values)).get((), S_ZERO)
+    clearing = e._clearings.get(space.kind)
+    if clearing is None:
+        clearing = e._clearings[space.kind] = _cleared(
+            e.coeffs if space.kind == "z"
+            else {mu: c / s for (mu, c), (s, _) in zip(e.coeffs.items(), values)})
+    nums, den = clearing
+    return _numerator_sums(((num, {(): v}) for num, (_, v) in zip(nums.values(), values)),
+                           den).get((), S_ZERO)

@@ -15,7 +15,7 @@ import pytest
 
 from macrui import cli, jsonio
 from macrui.cli import _VARIABLE_CEILINGS, _VERB_CEILINGS, main, parse_partition
-from macrui.errors import MacruiError
+from macrui.errors import MacruiError, MalformedInputError
 from macrui.partitions import in_fat_hook
 from macrui.macdonald import macdonald_polynomial, super_macdonald
 from macrui.polyring import MultiPoly, VarSpace
@@ -216,6 +216,70 @@ def test_malformed_input_is_structured_error(argv):
     code, out = run_cli(argv)
     assert code == 1
     assert json.loads(out)["error"]["kind"] == "MalformedInputError"
+
+
+def _poly_input(terms, N=2):
+    """--poly JSON for a z-space polynomial from (exponent, numerator) pairs,
+    each numerator a list of [q, t, coefficient] triples over the denominator 1."""
+    return json.dumps({"space": {"kind": "z", "N": N}, "terms": [
+        {"exp": exp, "coeff": {"num": num, "den": [[0, 0, "1"]]}} for exp, num in terms]})
+
+
+@pytest.mark.parametrize("terms, message", [
+    # 1*z1z2 and 2*z1z2: the last one won, and apply-mr printed the image of 2*z1z2
+    ([([1, 1], [[0, 0, "1"]]), ([1, 1], [[0, 0, "2"]])], "a polynomial has two terms at [1, 1]"),
+    # the coefficient q + 2q: the numerator was read as 2q
+    ([([1, 1], [[1, 0, "1"], [1, 0, "2"]])], "a q,t polynomial has two terms at [1, 0]"),
+])
+def test_duplicate_terms_are_refused(terms, message):
+    code, out = run_cli(["apply-mr", "--poly", _poly_input(terms)])
+    assert code == 1
+    assert json.loads(out)["error"] == {"kind": "MalformedInputError", "message": message}
+
+
+def test_json_integers_are_a_sign_and_digits():
+    for text, value in (("12", 12), ("-3", -3), ("+7", 7), ("007", 7), (5, 5)):
+        assert jsonio._int(text, "n") == value
+    for text in ("1_0", " 1", "1 ", "1\n", "", "+", "1.0", "0x1", "\u0661", True, 1.0, None):
+        with pytest.raises(MalformedInputError):
+            jsonio._int(text, "n")
+    # "1_0" was read as 10 and " 1" as 1
+    for terms in ([([1, 1], [[0, 0, "1_0"]])], [([1, 1], [[0, 0, " 1"]])],
+                  [([1, "1_0"], [[0, 0, "1"]])]):
+        code, out = run_cli(["apply-mr", "--poly", _poly_input(terms)])
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == "MalformedInputError"
+    code, out = run_cli(["apply-mr", "--poly", _poly_input([], N="1_0")])
+    assert json.loads(out)["error"] == {"kind": "MalformedInputError",
+                                        "message": "N must be an integer >= 0, got '1_0'"}
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["macdonald", "--lambda", "2", "--N", "-1"], "N"),
+    # refused before the partition is read and before the weight ceiling
+    (["macdonald", "--lambda", "1,2", "--N", "-1"], "N"),
+    (["macdonald", "--lambda", "9", "--N", "-1"], "N"),
+    (["skew", "--lambda", "2", "--mu", "1", "--N", "-2"], "N"),
+    (["shifted-comb", "--lambda", "1", "--N", "-1"], "N"),
+    (["super", "--lambda", "1", "--n", "-1", "--m", "1"], "n"),
+    (["shifted-super-comb", "--lambda", "1", "--n", "1", "--m", "-1"], "m"),
+    (["apply-mr", "--lambda", "1", "--N", "-1"], "N"),
+    (["apply-deformed-mr", "--lambda", "1", "--n", "1", "--m", "-1"], "m"),
+    (["eval", "--which", "macdonald", "--lambda", "1", "--mu", "1", "--N", "-1"], "N"),
+    (["eval", "--which", "shifted", "--lambda", "", "--mu", "", "--N", "-1"], "N"),
+    (["eval", "--which", "super", "--lambda", "1", "--mu", "1", "--n", "-1", "--m", "1"],
+     "n"),
+])
+def test_negative_variable_counts_are_refused(argv, flag, monkeypatch):
+    def render(*args):
+        raise AssertionError("a negative variable count reached a builder")
+    for verb, row in cli._CONSTRUCTIONS.items():
+        monkeypatch.setitem(cli._CONSTRUCTIONS, verb, row._replace(builder=render))
+    code, out = run_cli(argv)
+    assert code == 1
+    count = argv[argv.index(f"--{flag}") + 1]
+    assert json.loads(out)["error"] == {
+        "kind": "MalformedInputError", "message": f"--{flag} must be nonnegative, got {count}"}
 
 
 def test_non_divisible_error_keeps_remainder():

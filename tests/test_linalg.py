@@ -5,8 +5,10 @@ import pytest
 from macrui import partitions as pt
 from macrui.errors import SingularSystemError
 from macrui.linalg import _row_reduce, rank, solve_square, vectors_rank
+from macrui.polyring import VarSpace
 from macrui.scalar import QTPolynomial, QTScalar, S_ONE, S_Q, S_T, S_ZERO, qt_ratio
-from macrui.shifted import _pstar_products
+from macrui.shifted import partition_point
+from macrui.symfun import _cleared_products
 
 
 def test_solve_square_three_by_three():
@@ -100,7 +102,9 @@ def test_pivot_is_the_row_with_the_fewest_terms():
 def test_solve_does_not_depend_on_the_row_order():
     # the weight-4 vanishing system, its points in partitions_up_to order and reversed
     basis = pt.partitions_up_to(4)
-    matrix = [_pstar_products(basis, nu) for nu in basis]
+    matrix = [[v for _, v in _cleared_products("pstar", VarSpace.z(len(nu)), basis,
+                                               partition_point(nu, len(nu)))]
+              for nu in basis]
     columns = [[pt.hook_product(lam) if nu == lam else S_ZERO for nu in basis]
                for lam in pt.partitions_of(4)]
     forward = solve_square(matrix, columns)

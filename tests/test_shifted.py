@@ -189,11 +189,11 @@ def test_duality_up_to_weight_three():
 
 
 def test_duality_suite_computes_each_value_once(monkeypatch):
-    from macrui import shifted, verify
+    from macrui import shifted, symfun, verify
 
     shifted._interpolations.cache_clear()
     values, clearings = [], []
-    value, clear = verify.interpolation_value, shifted._cleared
+    value, clear = verify.interpolation_value, symfun._cleared
 
     def counted_value(lam, mu):
         values.append((lam, mu))
@@ -204,13 +204,13 @@ def test_duality_suite_computes_each_value_once(monkeypatch):
         return clear(coeffs)
 
     monkeypatch.setattr(verify, "interpolation_value", counted_value)
-    monkeypatch.setattr(shifted, "_cleared", counted_clear)
+    monkeypatch.setattr(symfun, "_cleared", counted_clear)
     report = verify.run_suite("duality", 3)
     shapes = pt.partitions_up_to(3)
     assert report["ok"] and report["total"] == len(shapes) ** 2 == 49
     # each value once: the right side of (lam, mu) is the left side of (lam', mu')
     assert sorted(values) == sorted((lam, mu) for lam in shapes for mu in shapes)
-    # one cleared form per shape, made with its solve
+    # one cleared form per shape, kept with its expansion by expansion_value
     assert len(clearings) == len(shapes)
 
 

@@ -3,14 +3,21 @@
 Every change of basis in the library sums through one kernel,
 ``polyring._combination``: the scalars are put over one common denominator
 (``over_common_denominator``), the Z[q, t] numerators are summed as
-Kronecker-packed integers, and each distinct sum is reduced once.  The
+Kronecker-packed integers, and each distinct sum is reduced once.
+``MultiPoly.__mul__`` clears two factors of two or more terms the same way,
+sums the numerator products as term dicts and reduces each distinct sum
+once, and
+``expansion_value`` clears an expansion once per space kind.  The
 references below are the hand-written routes each caller used before:
 ``over_common_denominator`` joins every new denominator with a gcd, the
 numerators are added as term dicts, ``solve_square`` runs Gauss-Jordan on
 the right-hand side as given, ``monomial_to_power_expansion`` solves the
-p -> m system for each expansion, and the triangular eigen-solve adds its
-products one at a time.  A guard pins the modules that clear denominators
-themselves.  Each pair must agree exactly.
+p -> m system for each expansion, the triangular eigen-solve adds its
+products one at a time, a product of polynomials multiplies and adds
+reduced coefficients term by term, and a value at q^mu sums the p*-products
+written out from their formula.  Guards pin the modules that clear
+denominators themselves and those that sum term dicts in place.  Each pair
+must agree exactly.
 """
 
 import ast
@@ -29,9 +36,9 @@ from macrui.linalg import _row_reduce, solve_square
 from macrui.macdonald import (_mr_monomial_expansion, macdonald_m_expansion,
                               macdonald_p_expansion)
 from macrui.operators import mr_eigenvalue
-from macrui.polyring import (MultiPoly, VarSpace, _combination, _pack, _unpack,
-                             linear_combination)
-from macrui.scalar import (P_ONE, P_ZERO, QTPolynomial, QTScalar, S_ONE,
+from macrui.polyring import (MultiPoly, VarSpace, _add_into, _combination, _pack,
+                             _unpack, linear_combination)
+from macrui.scalar import (P_ONE, P_ZERO, QTPolynomial, QTScalar, S_ONE, S_T,
                            S_ZERO, _as_scalar, over_common_denominator, qt_gcd,
                            qt_ratio)
 from macrui.symfun import (SymExpansion, _cleared_representatives,
@@ -112,14 +119,36 @@ def reference_cleared_m_expansion(lam, N):
     return u
 
 
+def reference_pstar_value(nu, mu):
+    """p*_nu(q^mu) from p*_r = sum_i (x_i^r - 1) t^{r(i-1)}, as a polynomial."""
+    value = P_ONE
+    for r in nu:
+        value = value * sum((QTPolynomial({(r * m, r * i): 1, (0, r * i): -1})
+                             for i, m in enumerate(mu)), P_ZERO)
+    return value
+
+
 def reference_interpolation_value(lam, mu):
     """The value at q^mu summed as term dicts over the shape's clearing."""
     expansion = shifted.interpolation_pstar_expansion(lam)
     nums, den = reference_over_common_denominator(expansion.coeffs.values())
     total = P_ZERO
-    for num, value in zip(nums, shifted._pstar_products(expansion.coeffs, mu)):
-        total = total + num * value.num
+    for num, nu in zip(nums, expansion.coeffs):
+        total = total + num * reference_pstar_value(nu, mu)
     return QTScalar(total, den)
+
+
+def reference_product(f, g):
+    """The product as written out before it was cleared: each term product
+    reduced, and added into the sum with a reduction per addition."""
+    a, b = f.terms, g.terms
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for e1, c1 in a.items():
+        _add_into(out, {tuple(x + y for x, y in zip(e1, e2)): c1 * c2
+                        for e2, c2 in b.items()})
+    return MultiPoly._raw(f.space, out)
 
 
 def reference_evaluate(f, point):
@@ -187,18 +216,35 @@ CLEARING_MODULES = {
 }
 
 
-def test_only_the_kernel_clears_denominators():
+# the modules that name the in-place term-dict sums: polyring defines them and
+# sums MultiPoly terms and product numerators with them, the operator engine
+# sums Z[q, t] numerators, and the bitableau sum grouped by inner shape
+# (macdonald._inner_shape_sum) adds its products; a new caller sums reduced
+# coefficients one addition at a time, and belongs in a kernel
+IN_PLACE_SUM_MODULES = {"polyring", "operators", "macdonald"}
+
+
+def _modules_naming(*targets):
+    """The modules of the package whose source names one of ``targets``, by
+    import, attribute or bare name."""
     users = set()
     for path in sorted((ROOT / "src" / "macrui").glob("*.py")):
-        if path.stem == "scalar":  # defines it
-            continue
         for node in ast.walk(ast.parse(path.read_text())):
             names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
                      else [node.attr] if isinstance(node, ast.Attribute)
                      else [node.id] if isinstance(node, ast.Name) else [])
-            if "over_common_denominator" in names:
+            if set(targets) & set(names):
                 users.add(path.stem)
-    assert users == CLEARING_MODULES
+    return users
+
+
+def test_only_the_kernel_clears_denominators():
+    # scalar defines it
+    assert _modules_naming("over_common_denominator") - {"scalar"} == CLEARING_MODULES
+
+
+def test_the_in_place_sums_are_pinned():
+    assert _modules_naming("_add_into", "_sub_into") == IN_PLACE_SUM_MODULES
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +426,69 @@ def test_packed_sum_matches_dict_sum_on_monomial_renderings():
 
 
 # ---------------------------------------------------------------------------
+# products of polynomials
+# ---------------------------------------------------------------------------
+
+# distinct denominators, some sharing a factor, so the two clearings differ;
+# 1 half the time, so that some factors are denominator-free
+product_dens = st.one_of(st.just(P_ONE), st.sampled_from([
+    QTPolynomial({(0, 0): 3}), QTPolynomial({(0, 0): 1, (1, 0): -1}),
+    QTPolynomial({(1, 0): 1, (0, 1): -1}), QTPolynomial({(0, 0): 1, (2, 0): -1}),
+    QTPolynomial({(1, 1): 2, (0, 0): 1})]))
+
+
+@st.composite
+def fractional_polys(draw, space):
+    """Polynomials of a few terms with small exponents, so the term products
+    meet and their sums can cancel; the zero polynomial and constants are
+    among them."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        e = tuple(draw(st.integers(min_value=0, max_value=2)) for _ in range(space.dim))
+        terms[e] = QTScalar(draw(qt_polys(max_terms=2, coeffs=st.integers(-3, 3))),
+                            draw(product_dens))
+    return MultiPoly(space, terms)
+
+
+PRODUCT_SPACES = [VarSpace.z(1), Z2, VarSpace.xy(1, 1), VarSpace.xy(2, 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PRODUCT_SPACES).flatmap(
+    lambda space: st.tuples(fractional_polys(space), fractional_polys(space))))
+def test_product_matches_the_term_by_term_product(factors):
+    f, g = factors
+    for a, b in ((f, g), (f, -f), (f + g, f - g)):
+        got = a * b
+        want = reference_product(a, b)
+        assert got == want
+        _same([got.terms[e] for e in want.terms], list(want.terms.values()))
+
+
+def test_product_edge_cases():
+    for space in PRODUCT_SPACES:
+        x, y = MultiPoly.variable(space, 0), MultiPoly.variable(space, space.dim - 1)
+        c = QTScalar(QTPolynomial({(1, 0): 1}), QTPolynomial({(0, 0): 1, (0, 1): -1}))
+        zero, one = MultiPoly.zero(space), MultiPoly.one(space)
+        f = x.scale(c) + y.scale(S_ONE / 3)
+        cases = [(f, zero), (zero, f), (zero, zero), (one, f), (f, one),
+                 (MultiPoly.constant(space, c), f), (f, MultiPoly.constant(space, c.inverse())),
+                 # the cross terms cancel to zero
+                 (x + y.scale(c), x - y.scale(c)), (f, f), (f * f, f),
+                 # denominator-free factors, and one over a denominator
+                 (x + y, x - y), ((x + y) * (x + y), x + y), (f, x + y.scale(S_ONE - S_T))]
+        for a, b in cases:
+            got, want = a * b, reference_product(a, b)
+            assert got == want, (space, a, b)
+            _same([got.terms[e] for e in want.terms], list(want.terms.values()))
+        assert (f * zero).is_zero()
+        assert f * MultiPoly.constant(space, c.inverse()) == f.scale(c.inverse())
+        if space.dim > 1:
+            assert (x + y.scale(c)) * (x - y.scale(c)) == x * x - (y * y).scale(c * c)
+            assert len(((x + y.scale(c)) * (x - y.scale(c))).terms) == 2
+
+
+# ---------------------------------------------------------------------------
 # solves with a cleared right-hand side
 # ---------------------------------------------------------------------------
 
@@ -520,22 +629,34 @@ def counted(a, b):
         calls += 1
     return gcd_cofactors(a, b)
 scalar._gcd_cofactors = counted
-for lam in pt.partitions_of(5):
-    macrui.super_macdonald(lam, 2, 2)
+{work}
 print(calls)
 """
 
 
-def test_super_restriction_gcd_count_is_pinned():
-    # non-monomial gcds of the seven super restrictions of weight 5 at
-    # (2, 2), in a fresh process so that no cache is warm; 427 before the
-    # cleared sums, 305 before the eigenvalue was built as a polynomial, 277
-    # before the generator images were written with cleared coefficients,
-    # and a rise here means a reduction came back
+def _nonmonomial_gcds(work):
+    """The gcds with no monomial argument that ``work`` takes, in a fresh
+    process so that no cache is warm."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", COUNT_PROBE], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", COUNT_PROBE.format(work=work)], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) == 236
+    return int(proc.stdout)
+
+
+def test_super_restriction_gcd_count_is_pinned():
+    # the seven super restrictions of weight 5 at (2, 2); 427 before the
+    # cleared sums, 305 before the eigenvalue was built as a polynomial, 277
+    # before the generator images were written with cleared coefficients,
+    # and a rise here means a reduction came back
+    assert _nonmonomial_gcds("for lam in pt.partitions_of(5):\n"
+                             "    macrui.super_macdonald(lam, 2, 2)") == 236
+
+
+def test_kernel_function_identity_gcd_count_is_pinned():
+    # its products of polynomials with fractional coefficients took 1,299
+    # while each term product and each addition was reduced on its own
+    assert _nonmonomial_gcds("from macrui.verify import _truncated_kernel_function_identity\n"
+                             "assert _truncated_kernel_function_identity()[0]") == 151

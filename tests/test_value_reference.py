@@ -1,9 +1,10 @@
 """Values read off the N-independent expansions against rendered polynomials.
 
 ``eval`` reads its value off an expansion with ``symfun.expansion_value``,
-for every ``--which``, and renders nothing; ``interpolation_value`` gives
-the value of the interpolation polynomial at q^mu off the clearing kept with
-each shape's solve.  The reference renders the polynomial with the builder
+for every ``--which``, and renders nothing; ``interpolation_value`` is one
+call to it, at q^mu in l(mu) variables.  ``expansion_value`` keeps the
+coefficients over their common denominator with the expansion, one form per
+space kind.  The reference renders the polynomial with the builder
 of the construction verb that ``--which`` names and evaluates it term by
 term at the point of mu: ``evaluate_at_partition`` in N variables, or
 ``MultiPoly.evaluate`` at ``fat_hook_point`` in (n, m) variables.  Both
@@ -14,7 +15,7 @@ from functools import cache
 
 import pytest
 
-from macrui import partitions as pt
+from macrui import partitions as pt, symfun
 from macrui.macdonald import macdonald_p_expansion, macdonald_polynomial, super_macdonald
 from macrui.polyring import VarSpace
 from macrui.scalar import S_ONE
@@ -81,3 +82,29 @@ def test_expansion_value_reads_p_and_pstar_expansions_only():
     for e in (macdonald_p_expansion(()), interpolation_pstar_expansion(())):
         assert expansion_value(e, VarSpace.z(0), []) == S_ONE
         assert expansion_value(e, VarSpace.xy(1, 1), fat_hook_point((), 1, 1)) == S_ONE
+
+
+def test_one_clearing_per_expansion_and_space_kind(monkeypatch):
+    clearings = []
+    clear = symfun._cleared
+
+    def counted(coeffs):
+        clearings.append(1)
+        return clear(coeffs)
+
+    monkeypatch.setattr(symfun, "_cleared", counted)
+    lam, mu = (3, 1), (2, 1)
+    for which, restricted in (("macdonald", "super"), ("shifted", "shifted-super")):
+        base = macdonald_p_expansion(lam) if which == "macdonald" \
+            else interpolation_pstar_expansion(lam)
+        # a z-space, then an xy-space (other s_mu), then z- and xy-spaces again
+        spaces = [(VarSpace.z(N), partition_point(mu, N),
+                   evaluate_at_partition(RENDER[which](lam, N), mu)) for N in (4, 5)]
+        spaces[1:1] = [(VarSpace.xy(n, m), fat_hook_point(mu, n, m),
+                        RENDER[restricted](lam, n, m).evaluate(fat_hook_point(mu, n, m)))
+                       for n, m in ((1, 1), (2, 1))]
+        e = SymExpansion(base.basis, base.N, base.coeffs)  # an empty memo
+        del clearings[:]
+        for space, point, want in spaces + spaces[:1]:
+            assert expansion_value(e, space, point) == want, (which, space)
+        assert len(clearings) == 2, which
