@@ -18,7 +18,7 @@ from . import partitions as pt
 from .macdonald import (macdonald_p_expansion, macdonald_polynomial, macdonald_tableau_sum,
                         skew_tableau_sum, super_macdonald, super_tableau_sum)
 from .operators import apply_deformed_mr, apply_mr, mr_eigenvalue
-from .polyring import _MAX_VARIABLES, MultiPoly, VarSpace
+from .polyring import _MAX_VARIABLES, VarSpace
 from .shifted import (_check_variable_count, fat_hook_point, interpolation_by_branching,
                       interpolation_polynomial, interpolation_pstar_expansion,
                       partition_point, shifted_super_macdonald, shifted_super_tableau_sum)
@@ -31,44 +31,44 @@ def parse_partition(text):
     if text is None or text.strip() == "":
         return ()
     try:
-        parts = [int(x) for x in text.split(",")]
-    except ValueError:
+        parts = [jsonio._int(x, "a part") for x in text.split(",")]
+    except MalformedInputError:
         raise MalformedInputError(
             f"a partition is comma-separated integers, got {text!r}") from None
     return pt.as_partition(parts)
 
 
 def parse_at(text):
-    """Exact rational parameters "q0,t0", for example "1/2,2"."""
-    parts = text.split(",")
-    if len(parts) == 2:
+    """Exact rational parameters "q0,t0", for example "1/2,2"; the digits are
+    ASCII with no underscores, the rule of ``jsonio._int``."""
+    parts = [x.strip() for x in text.split(",")]
+    if len(parts) == 2 and all(x.isascii() and "_" not in x for x in parts):
         try:
-            return tuple(Fraction(x.strip()) for x in parts)
+            return tuple(Fraction(x) for x in parts)
         except (ValueError, ZeroDivisionError):
             pass
     raise MalformedInputError(f"--at needs two exact rationals q0,t0, got {text!r}")
 
 
-def _emit(payload, fmt, text_renderer):
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    else:
-        print(text_renderer())
+def _count(text):
+    """An argparse type: an integer by the rule of ``jsonio._int``."""
+    try:
+        return jsonio._int(text, "a count")
+    except MalformedInputError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-def _result(request, value, args):
-    """Emit a polynomial or scalar result, evaluated at --at when given."""
-    poly = isinstance(value, MultiPoly)
-    if args.at:
-        to_json = jsonio.poly_to_json_at if poly else jsonio.scalar_to_json_at
-        result = to_json(value, *parse_at(args.at))
-    else:
-        result = (jsonio.poly_to_json if poly else jsonio.scalar_to_json)(value)
-    payload = {"request": request, "result": result}
-    if request["verb"].startswith(("super", "shifted-super")) and value.is_zero():
-        if not pt.in_fat_hook(tuple(request["lambda"]), request["n"], request["m"]):
-            payload["note"] = "outside fat hook"
-    _emit(payload, args.format, lambda: str(value))
+def _result(request, value, args, text=None):
+    """Print a result and return exit code 0: its JSON, evaluated at --at
+    when given (a malformed --at is refused in either format), or with
+    --format text ``text()``, by default str(value)."""
+    at = parse_at(args.at) if args.at else None
+    if args.format == "text":
+        print(str(value) if text is None else text())
+        return 0
+    off_hook = (request["verb"].startswith(("super", "shifted-super")) and value.is_zero()
+                and not pt.in_fat_hook(tuple(request["lambda"]), request["n"], request["m"]))
+    jsonio.write_result(request, value, at, "outside fat hook" if off_hook else None)
     return 0
 
 
@@ -98,7 +98,7 @@ def _load_poly(args):
 # larger request is refused before any work.
 Construction = namedtuple("Construction", "builder alphabet weight terms")
 _CONSTRUCTIONS = {
-    "macdonald": Construction(macdonald_polynomial, "N", 8, 225169),
+    "macdonald": Construction(macdonald_polynomial, "N", 8, 1331883),
     "macdonald-comb": Construction(macdonald_tableau_sum, "N", 18, 71876),
     "skew": Construction(skew_tableau_sum, "mu N", 15, 52689),
     "super": Construction(super_macdonald, "n m", 8, 100947),
@@ -124,7 +124,7 @@ Operator = namedtuple("Operator",
 Operator.size = property(lambda op: op.variables * op.growth ** op.variables)
 _OPERATORS = {
     "apply-mr": Operator(apply_mr, monomial_symmetric, "monomial", "N",
-                         "--lambda or --poly/--poly-file", 17, 2, 2200),
+                         "--lambda or --poly/--poly-file", 17, 2, 3000),
     "apply-deformed-mr": Operator(apply_deformed_mr, _CONSTRUCTIONS["super"].builder,
                                   "super", "n m", "--poly/--poly-file or --lambda with "
                                   "--n, --m", 9, 4, 102400),
@@ -152,25 +152,25 @@ def build_parser():
         p = verb(name, help=_HELP[name.removesuffix("-comb")])
         p.add_argument("--lambda", dest="lam", required=True)
         if construction.alphabet == "n m":
-            p.add_argument("--n", type=int, required=True)
-            p.add_argument("--m", type=int, required=True)
+            p.add_argument("--n", type=_count, required=True)
+            p.add_argument("--m", type=_count, required=True)
             continue
         if construction.alphabet == "mu N":
             p.add_argument("--mu", required=True)
-        p.add_argument("--N", type=int, default=None)
+        p.add_argument("--N", type=_count, default=None)
 
     p = verb("apply-mr", help="apply the difference operator")
     p.add_argument("--lambda", dest="lam", default=None,
                    help="apply to the monomial symmetric polynomial of this shape")
-    p.add_argument("--N", type=int, default=None)
+    p.add_argument("--N", type=_count, default=None)
     p.add_argument("--poly", default=None, help="inline polynomial JSON")
     p.add_argument("--poly-file", default=None)
 
     p = verb("apply-deformed-mr", help="apply the deformed difference operator")
     p.add_argument("--lambda", dest="lam", default=None,
                    help="apply to the two-alphabet polynomial of this shape")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--n", type=_count, default=None)
+    p.add_argument("--m", type=_count, default=None)
     p.add_argument("--poly", default=None)
     p.add_argument("--poly-file", default=None)
 
@@ -182,13 +182,13 @@ def build_parser():
                    required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True, help="partition giving the evaluation point")
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--N", type=_count, default=None)
+    p.add_argument("--n", type=_count, default=None)
+    p.add_argument("--m", type=_count, default=None)
 
     p = verb("verify", help="run a named verification suite")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
-    p.add_argument("--max-weight", type=int, default=4,
+    p.add_argument("--max-weight", type=_count, default=4,
                    help="weight bound; a weight above the suite's ceiling is "
                         "refused (" + ", ".join(f"{k} {v}" for k, v in
                                                sorted(_WEIGHT_CEILINGS.items())) + ")")
@@ -314,9 +314,6 @@ def _run(args):
                 "verify checks identities over Q(q, t) and takes no --at point, "
                 f"got --at {args.at!r}")
         report = run_suite(args.suite, args.max_weight)
-        payload = {"request": {"verb": verb, "suite": args.suite,
-                               "max_weight": args.max_weight},
-                   "result": report}
 
         def render():
             lines = [f"suite {report['suite']} (max weight {report['max_weight']}): "
@@ -330,7 +327,8 @@ def _run(args):
                              + (f"  {c['witness']}" if c["witness"] else ""))
             return "\n".join(lines)
 
-        _emit(payload, args.format, render)
+        _result({"verb": verb, "suite": args.suite, "max_weight": args.max_weight},
+                report, args, render)
         return 0 if report["ok"] else 1
 
     raise MacruiError(f"unhandled verb {verb!r}")

@@ -4,11 +4,14 @@ Scalars serialize numerator and denominator as lists of
 [q_exponent, t_exponent, coefficient-as-decimal-string] triples sorted by
 (q_exponent, t_exponent); polynomials as a term list of {"exp", "coeff"}
 with exponents in block order.  All emitters sort, so equal values produce
-identical bytes.  The readers check the schema and raise
-MalformedInputError on input that does not match it.
+identical bytes.  ``write_result`` is the one writer of a CLI result.  The
+readers check the schema and raise MalformedInputError on input that does
+not match it.
 """
 
+import json
 import re
+import sys
 
 from .errors import MalformedInputError
 from .polyring import MultiPoly, VarSpace
@@ -108,13 +111,48 @@ def poly_from_json(data):
     return MultiPoly(space, terms)
 
 
-def poly_to_json_at(f, q0, t0):
-    """Polynomial JSON with coefficients evaluated to exact rationals."""
-    terms = [{"exp": list(e), "coeff": str(c.evaluate(q0, t0))}
-             for e, c in sorted(f.terms.items())]
-    return {"space": space_to_json(f.space), "terms": terms,
-            "at": {"q": str(q0), "t": str(t0)}}
+def _dumps(data):
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def scalar_to_json_at(s, q0, t0):
-    return {"value": str(s.evaluate(q0, t0)), "at": {"q": str(q0), "t": str(t0)}}
+def write_result(request, value, at=None, note=None):
+    """Write a CLI result to stdout: the bytes of ``_dumps`` of {"note",
+    "request", "result"} and a newline, "note" only when given.
+
+    ``value`` is a MultiPoly, a QTScalar or a verify report.  With ``at`` =
+    (q0, t0) each coefficient is written as str(c.evaluate(q0, t0)) and the
+    point as "at".  A polynomial is written one term at a time, and each
+    distinct coefficient object is serialized once, before the first byte,
+    so a failed evaluation writes nothing.
+    """
+    if at is None:
+        def coeff(c):
+            return _dumps(scalar_to_json(c))
+        point = ""
+    else:
+        q0, t0 = at
+
+        def coeff(c):
+            return _dumps(str(c.evaluate(q0, t0)))
+        point = '"at":' + _dumps({"q": str(q0), "t": str(t0)}) + ","
+    head = ('{' + ('' if note is None else '"note":' + _dumps(note) + ',')
+            + '"request":' + _dumps(request) + ',"result":')
+    out = sys.stdout
+    if isinstance(value, QTScalar):
+        out.write(head + (coeff(value) if at is None else
+                          '{' + point + '"value":' + coeff(value) + '}') + '}\n')
+    elif isinstance(value, MultiPoly):
+        written = {}  # id of a coefficient object -> its bytes
+        for c in value.terms.values():
+            if id(c) not in written:
+                written[id(c)] = coeff(c)
+        out.write(head + '{' + point + '"space":' + _dumps(space_to_json(value.space))
+                  + ',"terms":[')
+        sep = ''
+        for e in sorted(value.terms):
+            out.write(f'{sep}{{"coeff":{written[id(value.terms[e])]},'
+                      f'"exp":[{",".join(map(str, e))}]}}')
+            sep = ','
+        out.write(']}}\n')
+    else:
+        out.write(head + _dumps(value) + '}\n')

@@ -57,10 +57,11 @@ def _macdonald_m_expansion(lam, N):
     if d == 0:
         return {(): S_ONE}
     parts = pt.partitions_of(d, max_length=N)  # descending lex refines dominance
+    parts = parts[parts.index(lam):]  # the only m_nu whose images are read
     cmat = {nu: _mr_monomial_expansion(nu, N) for nu in parts}
     clam = mr_eigenvalue(lam)
     u = {lam: S_ONE}
-    for mu in parts[parts.index(lam) + 1:]:
+    for mu in parts[1:]:
         # sum_nu u_nu c_{nu mu} as one cleared combination: the operator's
         # m-matrix has Z[q, t] entries
         row = _combination((unu, {mu: cmat[nu][mu]}) for nu, unu in u.items()

@@ -201,6 +201,7 @@ def test_verify_text_format():
 
 @pytest.mark.parametrize("argv", [
     ["eigenvalue", "--lambda", "1", "--at", "1/0,2"],
+    ["eigenvalue", "--lambda", "1", "--at", "1/2", "--format", "text"],
     ["apply-mr", "--poly", "{}"],
     ["apply-mr", "--poly", "[1]"],
     ["apply-mr", "--poly", "{not json"],
@@ -252,6 +253,51 @@ def test_json_integers_are_a_sign_and_digits():
     code, out = run_cli(["apply-mr", "--poly", _poly_input([], N="1_0")])
     assert json.loads(out)["error"] == {"kind": "MalformedInputError",
                                         "message": "N must be an integer >= 0, got '1_0'"}
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    # each was read as an integer: 1_0 as 10, " 2" as 2 and "\u0661" as 1
+    (["eigenvalue", "--lambda", "1_0"], "a partition is comma-separated integers, got '1_0'"),
+    (["eigenvalue", "--lambda", " 2, 1"],
+     "a partition is comma-separated integers, got ' 2, 1'"),
+    (["eigenvalue", "--lambda", "\u0661"],
+     "a partition is comma-separated integers, got '\u0661'"),
+    (["eigenvalue", "--lambda", "1", "--at", "1_0,2"],
+     "--at needs two exact rationals q0,t0, got '1_0,2'"),
+    (["eigenvalue", "--lambda", "1", "--at", "1/2,\u0663"],
+     "--at needs two exact rationals q0,t0, got '1/2,\u0663'"),
+    # refused by the parser, as a count that is not a number is
+    (["macdonald", "--lambda", "1", "--N", "1_0"], "argument --N: invalid int value: '1_0'"),
+    (["macdonald", "--lambda", "1", "--N", "x"], "argument --N: invalid int value: 'x'"),
+    (["apply-mr", "--lambda", "1", "--N", " 2"], "argument --N: invalid int value: ' 2'"),
+    (["super", "--lambda", "1", "--n", "1_0", "--m", "1"],
+     "argument --n: invalid int value: '1_0'"),
+    (["eval", "--which", "super", "--lambda", "1", "--mu", "1", "--n", "1", "--m", "1_0"],
+     "argument --m: invalid int value: '1_0'"),
+    (["verify", "--suite", "identities", "--max-weight", "1_0"],
+     "argument --max-weight: invalid int value: '1_0'"),
+])
+def test_cli_integers_are_a_sign_and_ascii_digits(argv, refusal, capsys):
+    if refusal.startswith("argument "):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert refusal in capsys.readouterr().err
+        return
+    code, out = run_cli(argv)
+    assert code == 1
+    assert json.loads(out)["error"] == {"kind": "MalformedInputError", "message": refusal}
+
+
+def test_cli_integers_and_points_that_stay_accepted():
+    code, out = run_cli(["eigenvalue", "--lambda", "10"])
+    assert code == 0 and json.loads(out)["request"]["lambda"] == [10]
+    assert parse_partition("+2,1") == (2, 1)
+    for text, point in (("1/2,3", (Fraction(1, 2), 3)), ("2,1/3", (2, Fraction(1, 3))),
+                        ("0.5,2", (Fraction(1, 2), 2)), (" 1/2 , 3 ", (Fraction(1, 2), 3))):
+        assert cli.parse_at(text) == point
+    code, out = run_cli(["macdonald", "--lambda", "1", "--N", "+2"])
+    assert code == 0 and json.loads(out)["request"]["N"] == 2
 
 
 @pytest.mark.parametrize("argv, flag", [

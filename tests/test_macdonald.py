@@ -122,6 +122,23 @@ def test_branching_does_not_use_the_construction(monkeypatch):
         macdonald._branching_coefficients.cache_clear()
 
 
+def test_m_expansion_applies_the_operator_only_below_lam(monkeypatch):
+    # every partition of the weight was applied: 22 images at weight 8
+    applied = []
+
+    def counted(f):
+        applied.append(f)
+        return operators.apply_mr(f)
+
+    monkeypatch.setattr(macdonald, "apply_mr", counted)
+    for lam, images in [((1,) * 8, 1), ((2, 2, 2, 2), 5), ((2, 2, 2), 4), ((3, 3), 7)]:
+        macdonald._macdonald_m_expansion.cache_clear()
+        macdonald._mr_monomial_expansion.cache_clear()
+        applied.clear()
+        macdonald_m_expansion(lam, pt.weight(lam))
+        assert len(applied) == images, lam
+
+
 def test_m_expansion_truncates_in_the_variable_count():
     for d in range(6):
         for lam in pt.partitions_of(d):
