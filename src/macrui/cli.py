@@ -18,10 +18,10 @@ from . import partitions as pt
 from .macdonald import (macdonald_p_expansion, macdonald_polynomial, macdonald_tableau_sum,
                         skew_tableau_sum, super_macdonald, super_tableau_sum)
 from .operators import apply_deformed_mr, apply_mr, mr_eigenvalue
-from .polyring import _MAX_VARIABLES, VarSpace
-from .shifted import (_check_variable_count, fat_hook_point, interpolation_by_branching,
-                      interpolation_polynomial, interpolation_pstar_expansion,
-                      partition_point, shifted_super_macdonald, shifted_super_tableau_sum)
+from .polyring import VarSpace
+from .shifted import (fat_hook_point, interpolation_by_branching, interpolation_polynomial,
+                      interpolation_pstar_expansion, partition_point, shifted_super_macdonald,
+                      shifted_super_tableau_sum)
 from .symfun import expansion_value, monomial_symmetric
 from .verify import SUITES, _WEIGHT_CEILINGS, run_suite
 
@@ -213,9 +213,7 @@ def _check_weight(args):
 
 def _rendered_terms(name, lam, space, mu=()):
     """At most how many terms construction ``name`` renders, counted from the
-    request alone; 0 for an alphabet that its builder refuses."""
-    if min(space.values()) < 0 or sum(space.values()) > _MAX_VARIABLES:
-        return 0
+    request alone; 0 for a skew shape that does not exist."""
     if "n" in space:
         # symmetric in each alphabet only: any monomial of the degree
         bound = (pt.weight(lam),)
@@ -246,6 +244,11 @@ def _alphabet(alphabet, args, lam, *floor):
     return {"N": args.N if args.N is not None else max(len(lam), 1, *floor)}
 
 
+def _variables(space):
+    """The VarSpace of an ``_alphabet``, which refuses over 64 variables."""
+    return VarSpace("xy" if "n" in space else "z", *space.values())
+
+
 def _check_variable_counts(args):
     """Refuse a negative --N, --n or --m, before any work."""
     for flag in ("N", "n", "m"):
@@ -264,6 +267,7 @@ def _run(args):
         skew = {"mu": parse_partition(args.mu)} if alphabet == "mu N" else {}
         floor = (pt.weight(lam),) if verb.startswith("shifted") else ()
         space = _alphabet(alphabet, args, lam, *floor)
+        _variables(space)
         _refuse_above(f"{verb}: the term count",
                       _rendered_terms(verb, lam, space, **skew), ceiling)
         return _result({"verb": verb, "lambda": list(lam), **space,
@@ -297,12 +301,12 @@ def _run(args):
         space = _alphabet(_CONSTRUCTIONS[which].alphabet, args, lam, pt.weight(lam), len(mu))
         if None in space.values():
             raise MacruiError("eval for two-alphabet objects needs --n and --m")
+        variables = _variables(space)
         if "n" in space:
-            variables, point = VarSpace.xy(args.n, args.m), fat_hook_point(mu, args.n, args.m)
+            point = fat_hook_point(mu, args.n, args.m)
         else:
-            N = space["N"]
-            (pt.check_parts if which == "macdonald" else _check_variable_count)(lam, N)
-            variables, point = VarSpace.z(N), partition_point(mu, N)
+            pt.check_parts(lam, space["N"])
+            point = partition_point(mu, space["N"])
         expansion = interpolation_pstar_expansion if "shifted" in which else macdonald_p_expansion
         value = expansion_value(expansion(lam), variables, point)
         return _result({"verb": verb, "which": which, "lambda": list(lam),

@@ -165,7 +165,7 @@ def orbit_size(lam, N):
     terms of the monomial symmetric polynomial m_lam."""
     if len(lam) > N:
         return 0
-    size = math.factorial(N) // math.factorial(N - len(lam))
+    size = math.perm(N, len(lam))
     for k in set(lam):
         size //= math.factorial(lam.count(k))
     return size

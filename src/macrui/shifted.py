@@ -5,8 +5,9 @@ the interpolation polynomial of shape lambda is the shifted symmetric
 polynomial of degree |lambda| vanishing at every evaluation point q^mu with
 |mu| <= |lambda|, mu != lambda, and taking the hook-product value at its
 own point.  Every shape of one weight shares the vanishing matrix, so the
-system is solved once per weight, with one right-hand side per shape.  The
-one-variable branching recursion (the strip recursion shared with the
+system is solved once per weight, with one right-hand side per shape, for a
+p*-expansion that does not depend on N and renders in any N >= l(lambda).
+The one-variable branching recursion (the strip recursion shared with the
 Macdonald tableau sums) reproduces it.  It carries an explicit monomial
 alignment factor because its intrinsic normalization differs from the hook
 normalization by q^{n(lam) - n(lam')} t^{n(lam') - n(lam)} (measured
@@ -15,7 +16,7 @@ exactly, verified by the test suite).
 
 from functools import cache
 
-from .errors import InvalidPartitionError, SingularSystemError
+from .errors import InvalidPartitionError
 from . import partitions as pt
 from .linalg import solve_square
 from .macdonald import _inner_shape_sum, _strip_sum
@@ -23,15 +24,6 @@ from .polyring import VarSpace
 from .scalar import S_ZERO, q_pow, t_pow
 from .symfun import (SymExpansion, _cleared_products, expansion_value,
                      from_shifted_power_expansion, restrict_shifted_expansion)
-
-
-def _check_variable_count(lam, N):
-    if lam:  # for the empty shape, VarSpace.z rejects a negative N
-        pt.check_parts(lam, N)
-        if N < pt.weight(lam):
-            raise SingularSystemError(
-                f"the vanishing characterization of {lam} needs at least "
-                f"{pt.weight(lam)} variables")
 
 
 def interpolation_pstar_expansion(lam):
@@ -67,14 +59,15 @@ def _interpolations(d):
 
 
 def interpolation_polynomial(lam, N):
-    """The interpolation polynomial of shape lambda in N variables.
+    """The interpolation polynomial of shape lambda in N >= l(lambda) variables.
 
     Renders the p*-expansion solved from the vanishing characterization (the
-    reference construction); requires N >= |lambda|, otherwise the conditions
-    do not pin the polynomial down and the call is rejected.
+    reference construction).  Below |lambda| variables it is still pinned by
+    its values at the q^mu with l(mu) <= N (Knop-Sahi uniqueness).
     """
     lam = pt.as_partition(lam)
-    _check_variable_count(lam, N)
+    if lam:  # for the empty shape, VarSpace.z rejects a negative N
+        pt.check_parts(lam, N)
     return from_shifted_power_expansion(interpolation_pstar_expansion(lam), N)
 
 

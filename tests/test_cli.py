@@ -88,6 +88,21 @@ def test_eval_verb_shifted_normalization():
     assert jsonio.scalar_from_json(payload["result"]) == hook_product((2,))
 
 
+def test_eval_shifted_needs_only_as_many_variables_as_parts():
+    # the default N is |lambda| = 6; the value does not depend on N
+    results = []
+    for N in ([], ["--N", "3"]):
+        code, out = run_cli(["eval", "--which", "shifted", "--lambda", "3,2,1",
+                             "--mu", "1"] + N)
+        assert code == 0
+        results.append(json.loads(out)["result"])
+    assert results[0] == results[1]
+    code, out = run_cli(["eval", "--which", "shifted", "--lambda", "3,2,1", "--mu", "1",
+                         "--N", "2"])
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "InvalidPartitionError"
+
+
 def test_numeric_evaluation_flag():
     code, out = run_cli(["eigenvalue", "--lambda", "1,1", "--at", "1/2,3"])
     assert code == 0
@@ -158,6 +173,9 @@ def test_comb_verbs_match_primary_routes():
          ["super", "--lambda", "2,1", "--n", "1", "--m", "1"]),
         (["shifted-comb", "--lambda", "2", "--N", "2"],
          ["shifted", "--lambda", "2", "--N", "2"]),
+        # fewer variables than boxes
+        (["shifted-comb", "--lambda", "2,1", "--N", "2"],
+         ["shifted", "--lambda", "2,1", "--N", "2"]),
         (["shifted-super-comb", "--lambda", "1,1", "--n", "1", "--m", "1"],
          ["shifted-super", "--lambda", "1,1", "--n", "1", "--m", "1"]),
     ]
@@ -556,6 +574,23 @@ def test_oversized_variable_count_is_refused(argv, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", sorted(cli._CONSTRUCTIONS))
+def test_over_cap_alphabet_is_refused_before_any_work(verb, capsys):
+    # a shape at the verb's weight ceiling in 65 variables: the alphabet is
+    # refused before the solve and the term count
+    construction = cli._CONSTRUCTIONS[verb]
+    argv = [verb, "--lambda", str(construction.weight)]
+    argv += {"N": ["--N", "65"], "mu N": ["--mu", "1", "--N", "65"],
+             "n m": ["--n", "40", "--m", "25"]}[construction.alphabet]
+    start = time.perf_counter()
+    code, out = run_cli(argv)
+    assert time.perf_counter() - start < 1, argv
+    assert code == 1
+    assert out == ('{"error": {"kind": "ValueError", "message": '
+                   '"at most 64 variables are supported, got 65"}}\n')
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_poly_file_input(tmp_path):
     f = macdonald_polynomial((2,), 2)
     path = tmp_path / "p.json"
@@ -610,6 +645,14 @@ def test_readme_command_lines_run():
         assert "error" not in out, line
 
 
+def test_readme_library_quick_start_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python", 1)[1]
+    block = block.split("```", 1)[0]
+    assert "assert" in block
+    exec(compile(block, "README.md", "exec"), {})
+
+
 def test_memory_error_is_a_structured_report(monkeypatch, capsys):
     def exhausted(*args):
         raise MemoryError("out of memory")
@@ -631,7 +674,7 @@ def test_term_count_bounds_the_rendering(verb):
             space = {"n": N // 2, "m": N - N // 2} if alphabet == "n m" else {"N": N}
             if alphabet == "n m" and not in_fat_hook(lam, N // 2, N - N // 2):
                 continue
-            if "N" in space and N < (sum(lam) if verb.startswith("shifted") else len(lam)):
+            if "N" in space and N < len(lam):
                 continue
             terms = len(builder(lam, *skew.values(), *space.values()).terms)
             count = cli._rendered_terms(verb, lam, space, **skew)
@@ -679,6 +722,13 @@ def test_found_oversized_requests_are_refused(capsys):
     poly = jsonio.poly_to_json(super_macdonald((2, 1), 5, 4))
     _refused_at_once(["apply-deformed-mr", "--poly", json.dumps(poly)], capsys)
     _refused_at_once(["apply-deformed-mr", "--lambda", "2,1", "--n", "5", "--m", "4"],
+                     capsys)
+
+
+def test_operator_variable_count_is_refused_before_the_term_count(capsys):
+    # counting the terms of m_(1) in a million variables is one product
+    _refused_at_once(["apply-mr", "--lambda", "1", "--N", "1000000"], capsys)
+    _refused_at_once(["apply-deformed-mr", "--lambda", "8", "--n", "1000000", "--m", "1"],
                      capsys)
 
 

@@ -100,8 +100,12 @@ CLI_DIGESTS = {
         (1, 'f88c3733f3cc6041c496097ab9afbbe0bda9a2211bbb9c97cf643198f26c3793'),
     ("eval", "--which", "macdonald", "--lambda", "2,1", "--mu", "1,1,1", "--N", "2"):
         (1, '4df2dd76c0bdedf5f64552bbfbc92e3d75815daf629d2f93056281d9487d3ce8'),
+    # fewer variables than boxes: the zero value, as at the default N
     ("eval", "--which", "shifted", "--lambda", "3", "--mu", "1", "--N", "2"):
-        (1, '9ef938f82a81633e5aa9ba166370918165ed356a485acfdafdb218507ac17f10'),
+        (0, 'd3e40e18f17d2905d5e562906fbc342b978cae9c96d6ec520cc557df6e3773e7'),
+    # fewer variables than parts
+    ("eval", "--which", "shifted", "--lambda", "1,1", "--mu", "1", "--N", "1"):
+        (1, '9e798204f2f1cbff7221b0127118b9e6f84ecb073aaf2385103150f58062aff7'),
     ("eval", "--which", "super", "--lambda", "1", "--mu", "2,2", *TWO):
         (1, '4635f298462b424611f6f85d5aecf3f755051fb9fc227154d36942d4334fc955'),
     ("eval", "--which", "macdonald", "--lambda", "1", "--mu", "1", "--N", "65"):

@@ -4,7 +4,7 @@ and the shifted two-alphabet restriction."""
 import pytest
 
 from macrui import partitions as pt
-from macrui.errors import InvalidPartitionError, SingularSystemError
+from macrui.errors import InvalidPartitionError
 from macrui.linalg import vectors_rank
 from macrui.macdonald import macdonald_polynomial, super_tableau_sum
 from macrui.polyring import MultiPoly, VarSpace
@@ -28,8 +28,9 @@ def test_vanishing_solve_examples():
 
 
 def test_vanishing_solve_needs_enough_variables():
-    with pytest.raises(SingularSystemError):
-        interpolation_polynomial((2,), 1)
+    # fewer variables than boxes is a rendering like any other; fewer than
+    # parts is refused, as for P_lam
+    assert interpolation_polynomial((2,), 1) == interpolation_by_branching((2,), 1)
     with pytest.raises(ValueError, match="variable count must be an integer"):
         interpolation_polynomial((1,), 1.5)
     with pytest.raises(InvalidPartitionError):
@@ -38,6 +39,18 @@ def test_vanishing_solve_needs_enough_variables():
         interpolation_polynomial((1,), -1)
     with pytest.raises(ValueError):
         interpolation_polynomial((), -1)
+
+
+def test_rendering_below_the_weight_matches_branching():
+    # Knop-Sahi uniqueness: in N >= l(lam) variables the interpolation
+    # polynomial is pinned by its values at the q^mu with l(mu) <= N, so the
+    # rendering of the N-independent p*-expansion is Okounkov's branching
+    # formula there too, also when N < |lam|
+    pairs = [(lam, N) for d in range(7) for lam in pt.partitions_of(d)
+             for N in range(len(lam), d)]
+    assert len(pairs) == 58
+    for lam, N in pairs:
+        assert interpolation_polynomial(lam, N) == interpolation_by_branching(lam, N), (lam, N)
 
 
 def test_defining_vanishing_conditions():
