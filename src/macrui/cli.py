@@ -8,23 +8,76 @@ text.  Identical requests produce byte-identical JSON.
 import argparse
 import json
 import os
+import resource
+import signal
 import sys
+import time
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import MacruiError, MalformedInputError, NonDivisibleError
+from .errors import BudgetExceededError, MacruiError, MalformedInputError, NonDivisibleError
 from . import jsonio
 from . import partitions as pt
 from .macdonald import (macdonald_p_expansion, macdonald_polynomial, macdonald_tableau_sum,
                         skew_tableau_sum, super_macdonald, super_tableau_sum)
-from .operators import apply_deformed_mr, apply_mr, mr_eigenvalue, operator_work
+from .operators import apply_deformed_mr, apply_mr, mr_eigenvalue
 from .polyring import VarSpace
-from .scalar import S_ONE
 from .shifted import (fat_hook_point, interpolation_by_branching, interpolation_polynomial,
                       interpolation_pstar_expansion, partition_point, shifted_super_macdonald,
                       shifted_super_tableau_sum)
 from .symfun import expansion_value, monomial_symmetric
 from .verify import SUITES, _WEIGHT_CEILINGS, run_suite
+
+
+# The budget of one request on the CLI's own process: a wall clock in seconds
+# and a soft limit on the address space in bytes, never above the one in
+# force.  It stops before the first byte of output, so printing, which is
+# linear in the output, is never cut off; an output larger than the
+# address-space budget is refused instead.
+_BUDGET_SECONDS = 60
+_BUDGET_BYTES = 2 * 1024 ** 3
+
+# While a request runs: the SIGALRM handler, timer and address-space limits
+# its budget replaced, and when it started.
+_replaced = []
+
+
+def _over_budget(signum, frame):
+    raise BudgetExceededError(f"the request ran past its budget of {_BUDGET_SECONDS} s")
+
+
+def _start_budget():
+    soft, hard = limits = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (
+        _BUDGET_BYTES if soft == resource.RLIM_INFINITY else min(_BUDGET_BYTES, soft), hard))
+    handler = signal.signal(signal.SIGALRM, _over_budget)
+    _replaced.append((handler, signal.setitimer(signal.ITIMER_REAL, _BUDGET_SECONDS),
+                      limits, time.monotonic()))
+
+
+def _stop_budget():
+    """Give the process back what the budget replaced, if it is running; a
+    timer that was running goes on with the time it had left.  The alarm is
+    stopped before anything is taken off ``_replaced``, so an alarm that
+    fires meanwhile leaves it whole for the next call."""
+    if not _replaced:
+        return
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    handler, (delay, interval), limits, start = _replaced.pop()
+    signal.signal(signal.SIGALRM, handler)
+    if delay:
+        signal.setitimer(signal.ITIMER_REAL,
+                         max(delay - (time.monotonic() - start), 1e-6), interval)
+    resource.setrlimit(resource.RLIMIT_AS, limits)
+
+
+def _output_ready(size):
+    """Stop the budget before the first byte of an output of ``size`` bytes,
+    or refuse an output larger than the address-space budget."""
+    if size > _BUDGET_BYTES:
+        raise BudgetExceededError(
+            f"the result is {size} bytes long, past the budget of {_BUDGET_BYTES} bytes")
+    _stop_budget()
 
 
 def parse_partition(text):
@@ -60,16 +113,23 @@ def _count(text):
 
 
 def _result(request, value, args, text=None):
-    """Print a result and return exit code 0: its JSON, evaluated at --at
+    """Print a result, returning exit code 0: its JSON, evaluated at --at
     when given (a malformed --at is refused in either format), or with
-    --format text ``text()``, by default str(value)."""
+    --format text ``text()``, by default str(value).  The budget runs until
+    the output is rendered and stops before its first byte.  A zero
+    two-alphabet polynomial, or operator image of one, whose --lambda is
+    outside the fat hook carries a note that says so."""
     at = parse_at(args.at) if args.at else None
     if args.format == "text":
-        print(str(value) if text is None else text())
+        out = (str(value) if text is None else text()) + "\n"
+        _output_ready(len(out))
+        sys.stdout.write(out)
         return 0
-    off_hook = (request["verb"].startswith(("super", "shifted-super")) and value.is_zero()
+    off_hook = ((request["verb"].startswith(("super", "shifted-super"))
+                 or request.get("input") == "super") and value.is_zero()
                 and not pt.in_fat_hook(tuple(request["lambda"]), request["n"], request["m"]))
-    jsonio.write_result(request, value, at, "outside fat hook" if off_hook else None)
+    jsonio.write_result(request, value, at, "outside fat hook" if off_hook else None,
+                        _output_ready)
     return 0
 
 
@@ -89,25 +149,21 @@ def _load_poly(args):
     return None
 
 
-# Every construction verb: its library builder, the alphabet it renders in
-# ("N": --N variables, by default l(lam) and at least |lam| for a shifted
+# Every construction verb: its library builder and the alphabet it renders
+# in ("N": --N variables, by default l(lam) and at least |lam| for a shifted
 # verb; "mu N": the same for the skew shape lam/mu; "n m": --n x- and --m
-# y-variables), its ceiling on the weight of --lambda and its ceiling on the
-# terms it renders.  ``eval`` keeps the weight ceiling of its --which.  Each
-# ceiling is the largest request whose cold run finished within about a
-# minute on a 2-vCPU host, Python 3.11 (the README lists the times); a
-# larger request is refused before any work.
-Construction = namedtuple("Construction", "builder alphabet weight terms")
+# y-variables).
+Construction = namedtuple("Construction", "builder alphabet")
 _CONSTRUCTIONS = {
-    "macdonald": Construction(macdonald_polynomial, "N", 8, 1331883),
-    "macdonald-comb": Construction(macdonald_tableau_sum, "N", 18, 71876),
-    "skew": Construction(skew_tableau_sum, "mu N", 15, 52689),
-    "super": Construction(super_macdonald, "n m", 8, 100947),
-    "super-comb": Construction(super_tableau_sum, "n m", 22, 38760),
-    "shifted": Construction(interpolation_polynomial, "N", 7, 52119),
-    "shifted-comb": Construction(interpolation_by_branching, "N", 7, 25689),
-    "shifted-super": Construction(shifted_super_macdonald, "n m", 7, 27132),
-    "shifted-super-comb": Construction(shifted_super_tableau_sum, "n m", 13, 12376),
+    "macdonald": Construction(macdonald_polynomial, "N"),
+    "macdonald-comb": Construction(macdonald_tableau_sum, "N"),
+    "skew": Construction(skew_tableau_sum, "mu N"),
+    "super": Construction(super_macdonald, "n m"),
+    "super-comb": Construction(super_tableau_sum, "n m"),
+    "shifted": Construction(interpolation_polynomial, "N"),
+    "shifted-comb": Construction(interpolation_by_branching, "N"),
+    "shifted-super": Construction(shifted_super_macdonald, "n m"),
+    "shifted-super-comb": Construction(shifted_super_tableau_sum, "n m"),
 }
 _HELP = {"macdonald": "symmetric eigenfunction polynomial of a shape",
          "skew": "skew tableau-sum polynomial",
@@ -115,16 +171,14 @@ _HELP = {"macdonald": "symmetric eigenfunction polynomial of a shape",
          "shifted": "interpolation polynomial of a shape",
          "shifted-super": "shifted two-alphabet polynomial"}
 
-# The two operator verbs: the operator, the input --lambda names and its alphabet,
-# what the verb needs without --poly, and its ceiling on ``operator_work``.
-Operator = namedtuple("Operator", "apply source alphabet needs work")
+# The two operator verbs: the operator, the input --lambda names and its
+# alphabet, and what the verb needs without --poly.
+Operator = namedtuple("Operator", "apply source alphabet needs")
 _OPERATORS = {
-    "apply-mr": Operator(apply_mr, "monomial", "N", "--lambda or --poly/--poly-file", 3322112),
-    "apply-deformed-mr": Operator(apply_deformed_mr, "super", "n m", "--poly/--poly-file "
-                                  "or --lambda with --n, --m", 9260778),
+    "apply-mr": Operator(apply_mr, "monomial", "N", "--lambda or --poly/--poly-file"),
+    "apply-deformed-mr": Operator(apply_deformed_mr, "super", "n m",
+                                 "--poly/--poly-file or --lambda with --n, --m"),
 }
-_VERB_CEILINGS = {**{verb: c.weight for verb, c in _CONSTRUCTIONS.items()},
-                  "eigenvalue": 4000000}
 
 
 def build_parser():
@@ -188,47 +242,6 @@ def build_parser():
     return ap
 
 
-def _refuse_above(what, size, ceiling):
-    if size > ceiling:
-        raise MacruiError(f"{what} {size} is above the ceiling {ceiling}, the "
-                          f"largest that finishes in about a minute")
-
-
-def _check_weight(args):
-    """Refuse a construction above its weight ceiling, before any work: the
-    one --which names, an operator's --lambda input, else the verb's own."""
-    verb = args.verb
-    name = _OPERATORS[verb].source if verb in _OPERATORS else getattr(args, "which", verb)
-    if name in _VERB_CEILINGS and args.lam is not None:
-        _refuse_above(f"{verb}: the weight of --lambda",
-                      pt.weight(parse_partition(args.lam)), _VERB_CEILINGS[name])
-
-
-def _rendered_terms(name, lam, space, mu=()):
-    """At most how many terms construction ``name`` renders, counted from the
-    request alone; 0 for a skew shape that does not exist."""
-    if "n" in space:
-        # symmetric in each alphabet only: any monomial of the degree
-        bound = (pt.weight(lam),)
-    elif pt.contains(mu, lam):
-        # a tableau letter fills at most one box of each column of lam/mu
-        heights = [pt.part(pt.conjugate(lam), j) - pt.part(pt.conjugate(mu), j)
-                   for j in range(1, pt.part(lam, 1) + 1)]
-        bound = pt.conjugate(tuple(sorted((h for h in heights if h), reverse=True)))
-    else:
-        return 0
-    return pt.monomials_below(bound, sum(space.values()), graded=name.startswith("shifted"))
-
-
-def _input_term(lam, space):
-    """One term of the --lambda input with a unit coefficient, and its VarSpace (which
-    refuses a huge alphabet first): its work is all of m_lam's and at most super's."""
-    variables, n, m = _variables(space), space.get("n", space.get("N")), space.get("m", 0)
-    x, y = lam[:n], tuple(c - n for c in pt.conjugate(lam) if c > n)
-    return {x + (0,) * (n - len(x)) + y + (0,) * (m - len(y)): S_ONE
-            } if pt.in_fat_hook(lam, n, m) else {}, variables
-
-
 def _alphabet(alphabet, args, lam, *floor):
     """The variables a request renders in: {"n": n, "m": m}, or {"N": N}
     with N defaulting to the largest of l(lam), 1 and ``floor``."""
@@ -252,7 +265,7 @@ def _check_variable_counts(args):
 
 def _construct(verb, args):
     """The request and polynomial of construction ``verb``, if its checks pass."""
-    builder, alphabet, _, ceiling = _CONSTRUCTIONS[verb]
+    builder, alphabet = _CONSTRUCTIONS[verb]
     lam = parse_partition(args.lam)
     skew = {"mu": parse_partition(args.mu)} if alphabet == "mu N" else {}
     floor = (pt.weight(lam),) if verb.startswith("shifted") else ()
@@ -260,8 +273,6 @@ def _construct(verb, args):
     _variables(space)
     if alphabet == "N":
         pt.check_parts(lam, space["N"])
-    _refuse_above(f"{args.verb}: the term count",
-                  _rendered_terms(verb, lam, space, **skew), ceiling)
     return ({"verb": args.verb, "lambda": list(lam), **space,
              **{k: list(v) for k, v in skew.items()}},
             builder(lam, *skew.values(), *space.values()))
@@ -270,7 +281,6 @@ def _construct(verb, args):
 def _run(args):
     verb = args.verb
     _check_variable_counts(args)
-    _check_weight(args)
     if verb in _CONSTRUCTIONS:
         return _result(*_construct(verb, args), args)
 
@@ -282,13 +292,12 @@ def _run(args):
             lam = parse_partition(args.lam)
             space = _alphabet(op.alphabet, args, lam)
             request.update({"lambda": list(lam), **space, "input": op.source})
-            work = operator_work(*_input_term(lam, space), op.work)
-            _refuse_above(f"{verb}: the work count", work, op.work)
-            if op.source not in _CONSTRUCTIONS:     # m_lam: that count is exact
-                return _result(request, op.apply(monomial_symmetric(lam, space["N"])), args)
-            f = _construct(op.source, args)[1]      # under the ceilings of its verb
-        _refuse_above(f"{verb}: the work count", operator_work(f.terms, f.space, op.work),
-                      op.work)
+            f = (_construct(op.source, args)[1] if op.source in _CONSTRUCTIONS
+                 else monomial_symmetric(lam, space["N"]))
+        elif f.space.kind != ("xy" if op.alphabet == "n m" else "z"):
+            other = next(v for v in _OPERATORS if v != verb)
+            raise MalformedInputError(f"{verb} does not act on {f.space.kind}-space "
+                                      f"polynomials; give this one to {other}")
         return _result(request, op.apply(f), args)
 
     if verb == "eigenvalue":
@@ -338,7 +347,9 @@ def _run(args):
 
 
 def main(argv=None):
+    """Run one request under the budget, on this process."""
     args = build_parser().parse_args(argv)
+    _start_budget()
     try:
         code = _run(args)
         sys.stdout.flush()
@@ -350,12 +361,15 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (MacruiError, ValueError, OSError, MemoryError) as exc:
+    except (MacruiError, BudgetExceededError, ValueError, OSError, MemoryError) as exc:
+        _stop_budget()
         error = {"kind": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, NonDivisibleError) and exc.remainder is not None:
             error["remainder"] = jsonio.poly_to_json(exc.remainder)
         print(json.dumps({"error": error}, sort_keys=True))
         return 1
+    finally:
+        _stop_budget()
 
 
 if __name__ == "__main__":

@@ -48,3 +48,13 @@ class SingularSystemError(MacruiError):
 
 class MalformedInputError(MacruiError):
     """Input at the JSON or command-line boundary does not match its schema."""
+
+
+class BudgetExceededError(BaseException):
+    """A command-line request ran past its time budget, or its output past
+    its size budget.
+
+    The CLI's alarm raises it at any point of the work, so like
+    KeyboardInterrupt it is not an Exception: no ``except Exception`` in the
+    library swallows it.
+    """

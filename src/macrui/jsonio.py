@@ -115,15 +115,20 @@ def _dumps(data):
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def write_result(request, value, at=None, note=None):
+_TERM = len('{"coeff":,"exp":[]}')  # the bytes of a term around its values
+
+
+def write_result(request, value, at=None, note=None, ready=None):
     """Write a CLI result to stdout: the bytes of ``_dumps`` of {"note",
     "request", "result"} and a newline, "note" only when given.
 
     ``value`` is a MultiPoly, a QTScalar or a verify report.  With ``at`` =
     (q0, t0) each coefficient is written as str(c.evaluate(q0, t0)) and the
     point as "at".  A polynomial is written one term at a time, and each
-    distinct coefficient object is serialized once, before the first byte,
-    so a failed evaluation writes nothing.
+    distinct coefficient object is serialized once.  Everything is
+    serialized before the first byte, so a failed evaluation writes nothing;
+    then ``ready(size)``, when given, is called with the exact number of
+    bytes about to be written, and may raise to write none of them.
     """
     if at is None:
         def coeff(c):
@@ -137,22 +142,29 @@ def write_result(request, value, at=None, note=None):
         point = '"at":' + _dumps({"q": str(q0), "t": str(t0)}) + ","
     head = ('{' + ('' if note is None else '"note":' + _dumps(note) + ',')
             + '"request":' + _dumps(request) + ',"result":')
-    out = sys.stdout
-    if isinstance(value, QTScalar):
-        out.write(head + (coeff(value) if at is None else
-                          '{' + point + '"value":' + coeff(value) + '}') + '}\n')
-    elif isinstance(value, MultiPoly):
-        written = {}  # id of a coefficient object -> its bytes
+    written, exps, tail = {}, [], '}\n'  # written: id of a coefficient -> its bytes
+    if isinstance(value, MultiPoly):
         for c in value.terms.values():
             if id(c) not in written:
                 written[id(c)] = coeff(c)
-        out.write(head + '{' + point + '"space":' + _dumps(space_to_json(value.space))
-                  + ',"terms":[')
-        sep = ''
-        for e in sorted(value.terms):
-            out.write(f'{sep}{{"coeff":{written[id(value.terms[e])]},'
-                      f'"exp":[{",".join(map(str, e))}]}}')
-            sep = ','
-        out.write(']}}\n')
+        head += '{' + point + '"space":' + _dumps(space_to_json(value.space)) + ',"terms":['
+        exps, tail = sorted(value.terms), ']}}\n'
+    elif isinstance(value, QTScalar):
+        head += coeff(value) if at is None else '{' + point + '"value":' + coeff(value) + '}'
     else:
-        out.write(head + _dumps(value) + '}\n')
+        head += _dumps(value)
+
+    def terms():
+        """The coefficient bytes and exponent text of each term, in order."""
+        for e in exps:
+            yield written[id(value.terms[e])], ",".join(map(str, e))
+    if ready is not None:
+        ready(len(head) + len(tail) + max(len(exps) - 1, 0)
+              + sum(_TERM + len(c) + len(e) for c, e in terms()))
+    out = sys.stdout
+    out.write(head)
+    sep = ''
+    for c, e in terms():
+        out.write(f'{sep}{{"coeff":{c},"exp":[{e}]}}')
+        sep = ','
+    out.write(tail)

@@ -15,9 +15,7 @@ at the end.  The Hecke generators take the same divided difference on
 QTScalar coefficients.
 """
 
-import itertools
-import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import reduce
 
 from .errors import NonDivisibleError, NotSymmetricError
@@ -201,147 +199,6 @@ def apply_deformed_mr_detailed(f):
 
 def apply_deformed_mr(f):
     return apply_deformed_mr_detailed(f).value
-
-
-# ---------------------------------------------------------------------------
-# the work of an application, counted before it runs
-# ---------------------------------------------------------------------------
-
-def operator_work(terms, space, cap=None):
-    """At least the terms of the largest term dict that ``apply_mr_detailed``
-    (a z-space, the block all variables) or ``apply_deformed_mr_detailed``
-    (an xy-space) builds on an input with these terms, times a width for
-    its coefficients: the input's largest single-variable exponent, which
-    the shifts q^a and t^a spread the coefficients over, plus the terms of
-    its widest numerator over the common denominator.
-
-    It is counted from the input's orbits (its exponent vectors sorted
-    within each block) without running the engine, and the orbits' counts
-    add, because the engine is linear.  Counting stops once the work passes
-    ``cap``: the value returned is then above ``cap`` but may be below the
-    full count.
-    """
-    n = space.n
-    orbits = {tuple(sorted(e[:n], reverse=True)) + tuple(sorted(e[n:], reverse=True))
-              for e in terms}
-    width = (max((max(e, default=0) for e in orbits), default=0)
-             + max((len(c.terms) for c in _cleared(terms)[0].values()), default=1))
-    limit = math.inf if cap is None else cap // width
-    work = 0
-    if space.kind == "z":
-        for lam in orbits:
-            work += _mr_work(lam, limit - work)
-            if work > limit:
-                break
-        return work * width
-    reach = {}      # degree -> its largest x and y exponents
-    for e in orbits:
-        ax, ay = reach.get(sum(e), (0, 0))
-        reach[sum(e)] = max(ax, e[0] if n else 0), max(ay, e[n] if space.m else 0)
-    for d, (ax, ay) in reach.items():
-        most = 0 if d else 1    # a constant is shifted once, then cancels
-        for degree, caps in _deformed_dicts(d, ax, ay, n, space.m) if d else ():
-            most = max(most, _box(degree, caps))
-            if work + most > limit:
-                break
-        work += most
-        if work > limit:
-            break
-    return work * width
-
-
-def _mr_work(lam, limit):
-    """The largest term dict of ``apply_mr`` on the orbit of ``lam``, one
-    sorted entry per variable; the count stops once it passes ``limit``.
-
-    After j divided differences the dict is symmetric in the head
-    v_0..v_j, and each of the N-1-j tail variables holds an input part plus
-    0 or 1 from the row (v_0 - t v_k).  So it has at most, summed over the
-    distinct sorted tails tau that leave a nonzero part in the head,
-    orbit_size(tau) times the monomials of degree D_j - |tau| in j + 1
-    variables, each at least the smallest head part, where D_j = |lam| + N
-    - 1 - j.  The dicts before the first divided difference are no larger
-    than the one after the whole row.
-    """
-    N = len(lam)
-    if not lam or not lam[0]:
-        return 1    # a constant is shifted once, then cancels
-    parts = Counter(lam)
-    values = sorted(parts)
-    best = 0
-    for j in reversed(range(N)):    # few tails first: a huge input stops early
-        least = {}      # tail shape -> smallest head part
-        for taken in _takes([parts[p] for p in values], N - 1 - j):
-            head = [p for p, k in zip(values, taken) if parts[p] > k]
-            if not head[-1]:
-                continue
-            for raised in itertools.product(*(range(k + 1) for k in taken)):
-                tail = Counter()
-                for p, k, r in zip(values, taken, raised):
-                    tail[p] += k - r
-                    tail[p + 1] += r
-                key = tuple(sorted((p for p, c in tail.items() for _ in range(c) if p),
-                                   reverse=True))
-                least[key] = min(least.get(key, head[0]), head[0])
-        total = sum(pt.orbit_size(tau, N - 1 - j)
-                    * math.comb(sum(lam) + N - 1 - sum(tau) - (j + 1) * m, j)
-                    for tau, m in least.items())
-        best = max(best, total)
-        if best > limit:
-            break
-    return best
-
-
-def _takes(sizes, total):
-    """Every way to take ``total`` items from groups of these sizes."""
-    if not sizes:
-        if not total:
-            yield ()
-        return
-    for k in range(max(0, total - sum(sizes[1:])), min(sizes[0], total) + 1):
-        for rest in _takes(sizes[1:], total - k):
-            yield (k,) + rest
-
-
-def _deformed_dicts(d, ax, ay, n, m):
-    """The degree and the exponent caps of each kind of dict that
-    ``apply_deformed_mr`` builds on the degree-d part of an input whose x
-    and y exponents are at most ``ax`` and ``ay``; caps are (cap, variables).
-
-    First the sum of the two halves: degree d + nm, every x at most ax + m
-    and every y at most ay + n.  Each division by a cross pair lowers the
-    degree and the caps of its two variables by one, so its quotient has no
-    more terms.  Then each half after j divided differences over its block
-    of B variables, the other block holding S spectators: the row and the
-    cross pairs raise a tail variable of the block by up to 1 + S and a
-    spectator by up to B, and each divided difference lowers the degree by
-    one and the head's cap to one below the larger cap of its pair.
-    """
-    yield d + n * m, [(ax + m, n), (ay + n, m)]
-    for a, b, B, S in ((ax, ay, n, m), (ay, ax, m, n)):
-        head = a + B - 1 + S
-        for j in range(B):
-            if j:
-                head = max(head, a + 1 + S) - 1
-            yield (d + B - 1 + S + (B - 1) * S - j,
-                   [(head, j + 1), (a + 1 + S, B - 1 - j), (b + B, S)])
-
-
-def _box(degree, caps):
-    """The exponent vectors of this total degree whose entries are at most
-    their caps, ``caps`` a list of (cap, variables): inclusion-exclusion
-    over the variables that exceed their cap."""
-    variables = sum(k for _, k in caps)
-    excess = {0: 1}
-    for cap, k in caps:
-        spread = {}
-        for e, c in excess.items():
-            for i in range(min(k, (degree - e) // (cap + 1)) + 1):
-                e2 = e + i * (cap + 1)
-                spread[e2] = spread.get(e2, 0) + (-1) ** i * math.comb(k, i) * c
-        excess = spread
-    return sum(c * math.comb(degree - e + variables - 1, variables - 1)
-               for e, c in excess.items())
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,6 @@ empty partition is ().  Boxes are addressed (row, column), 1-based, so a
 box s = (i, j) of lambda satisfies 1 <= i <= len(lambda), 1 <= j <= lambda[i-1].
 """
 
-import itertools
-import math
 import operator
 
 from .errors import InvalidPartitionError
@@ -158,35 +156,6 @@ def partitions_of(d, max_length=None, fat_hook=None):
 def partitions_up_to(d):
     """All partitions of weight 0..d, grouped weight by weight."""
     return [lam for k in range(d + 1) for lam in partitions_of(k)]
-
-
-def orbit_size(lam, N):
-    """The number of exponent vectors in N variables that sort to lam: the
-    terms of the monomial symmetric polynomial m_lam."""
-    if len(lam) > N:
-        return 0
-    size = math.perm(N, len(lam))
-    for k in set(lam):
-        size //= math.factorial(lam.count(k))
-    return size
-
-
-def monomials_below(bound, N, graded=False):
-    """The number of exponent vectors in N variables of weight |bound| (any
-    weight up to it when ``graded``) whose sorted parts have every partial
-    sum at most the same partial sum of ``bound``.
-
-    P_lam in N variables has this many terms for bound = lam: its monomials
-    m_mu run over mu <= lam in dominance order.
-    """
-    caps = list(itertools.accumulate(bound))
-    count = 0
-    for d in range(weight(bound) + 1) if graded else [weight(bound)]:
-        for mu in partitions_of(d, max_length=N):
-            if all(s <= caps[min(i, len(caps) - 1)]
-                   for i, s in enumerate(itertools.accumulate(mu))):
-                count += orbit_size(mu, N)
-    return count
 
 
 def subpartitions(lam):

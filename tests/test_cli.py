@@ -3,7 +3,9 @@
 import io
 import json
 import os
+import resource
 import shlex
+import signal
 import subprocess
 import sys
 import time
@@ -14,13 +16,11 @@ from pathlib import Path
 import pytest
 
 from macrui import cli, jsonio
-from macrui.cli import _VERB_CEILINGS, main, parse_partition
+from macrui.cli import main, parse_partition
 from macrui.errors import MacruiError, MalformedInputError
-from macrui.partitions import in_fat_hook
 from macrui.macdonald import macdonald_polynomial, super_macdonald
-from macrui.operators import operator_work
 from macrui.polyring import MultiPoly, VarSpace
-from macrui.scalar import S_ONE, S_Q, S_T
+from macrui.scalar import QTScalar, S_ONE, S_Q, S_T
 from macrui.symfun import deformed_newton_sum, monomial_symmetric
 from macrui.verify import SUITES, _WEIGHT_CEILINGS, run_suite
 
@@ -67,11 +67,16 @@ def test_determinism():
 
 
 def test_off_hook_note():
-    code, out = run_cli(["super", "--lambda", "2,2", "--n", "1", "--m", "1"])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["note"] == "outside fat hook"
-    assert payload["result"]["terms"] == []
+    for argv in (["super", "--lambda", "2,2", "--n", "1", "--m", "1"],
+                 ["super", "--lambda", "2,1", "--n", "0", "--m", "0"],
+                 # the operator's input is that zero, and the note was missing
+                 ["apply-deformed-mr", "--lambda", "2,1", "--n", "0", "--m", "0"],
+                 ["apply-deformed-mr", "--lambda", "2,2", "--n", "1", "--m", "1"]):
+        code, out = run_cli(argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["note"] == "outside fat hook", argv
+        assert payload["result"]["terms"] == []
 
 
 def test_eigenvalue_verb():
@@ -137,6 +142,19 @@ def test_apply_mr_poly_input():
     assert jsonio.poly_from_json(payload["result"]) == f.scale(-(1 + S_Q))
 
 
+def test_operator_verbs_refuse_a_poly_in_the_other_space():
+    # each reached the library's ValueError: "default block applies to
+    # z-spaces only", "the deformed operator acts on xy-spaces"
+    for f, verb, message in (
+            (super_macdonald((1,), 1, 1), "apply-mr", "apply-mr does not act on xy-space "
+             "polynomials; give this one to apply-deformed-mr"),
+            (macdonald_polynomial((1,), 2), "apply-deformed-mr", "apply-deformed-mr does not "
+             "act on z-space polynomials; give this one to apply-mr")):
+        code, out = run_cli([verb, "--poly", json.dumps(jsonio.poly_to_json(f))])
+        assert code == 1
+        assert json.loads(out)["error"] == {"kind": "MalformedInputError", "message": message}
+
+
 def test_apply_deformed_mr_verb():
     code, out = run_cli(["apply-deformed-mr", "--lambda", "1", "--n", "1", "--m", "1"])
     assert code == 0
@@ -153,7 +171,7 @@ def test_verify_verb_passes():
 
 
 def test_invalid_partition_is_structured_error():
-    # the skew shape (2)/(3) does not exist: its term count is 0 and its builder refuses
+    # the skew shape (2)/(3) does not exist: its builder refuses it
     for argv in (["macdonald", "--lambda", "1,2"], ["skew", "--lambda", "2", "--mu", "3"]):
         code, out = run_cli(argv)
         assert code == 1
@@ -321,7 +339,7 @@ def test_cli_integers_and_points_that_stay_accepted():
 
 @pytest.mark.parametrize("argv, flag", [
     (["macdonald", "--lambda", "2", "--N", "-1"], "N"),
-    # refused before the partition is read and before the weight ceiling
+    # refused before the partition is read and before any work
     (["macdonald", "--lambda", "1,2", "--N", "-1"], "N"),
     (["macdonald", "--lambda", "9", "--N", "-1"], "N"),
     (["skew", "--lambda", "2", "--mu", "1", "--N", "-2"], "N"),
@@ -415,65 +433,245 @@ def test_verify_weight_above_ceiling_is_refused(suite, capsys):
         run_suite(suite, ceiling + 1)
 
 
-def _refused_at_once(argv, capsys):
+def _refused_by_the_budget(argv, monkeypatch, capsys, seconds=0.1):
+    """The request ends in the budget's report, with no traceback, soon after
+    a budget of ``seconds``."""
+    monkeypatch.setattr(cli, "_BUDGET_SECONDS", seconds)
     start = time.perf_counter()
     code, out = run_cli(argv)
-    assert time.perf_counter() - start < 1
-    assert code == 1
-    error = json.loads(out)["error"]
-    assert error["kind"] == "MacruiError"
-    assert "above the ceiling" in error["message"]
+    assert time.perf_counter() - start < seconds + 1, argv
+    assert code == 1, argv
+    assert json.loads(out) == {"error": {
+        "kind": "BudgetExceededError",
+        "message": f"the request ran past its budget of {seconds} s"}}, argv
     assert "Traceback" not in capsys.readouterr().err
 
 
 def _answered_within(argv, seconds=5):
+    """The request exits 0 with a result within ``seconds``; returns the
+    length of its output, which is counted, not kept."""
+    class Count(io.TextIOBase):
+        head, size = "", 0
+
+        def write(self, text):
+            self.head = self.head or text
+            self.size += len(text)
+            return len(text)
+
+    sink = Count()
     start = time.perf_counter()
-    code, out = run_cli(argv)
+    with redirect_stdout(sink):
+        code = main(argv)
     assert time.perf_counter() - start < seconds, argv
-    assert code == 0 and "result" in json.loads(out), argv
+    assert code == 0 and sink.head.startswith('{"request":'), argv
+    return sink.size
 
 
-@pytest.mark.parametrize("verb", sorted(_VERB_CEILINGS))
-def test_construction_above_its_weight_ceiling_is_refused(verb, capsys):
-    extra = (["--n", "1", "--m", "1"] if "super" in verb
-             else ["--mu", "1"] if verb == "skew" else [])
-    weight = _VERB_CEILINGS[verb] + 1
-    # a row, and for the small ceilings a column, of weight ceiling + 1
-    for lam in [str(weight)] + ([",".join(["1"] * weight)] if weight < 100 else []):
-        _refused_at_once([verb, "--lambda", lam] + extra, capsys)
+def _child_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
-def test_eval_and_deformed_input_keep_the_construction_ceilings(capsys):
+@pytest.mark.parametrize("argv", [
+    # under every former ceiling; it ran for about 80 s
+    ["shifted", "--lambda", "7", "--N", "10"],
+    ["verify", "--suite", "vanishing", "--max-weight", "6"],
+    # 0.2 s of work, then about 20 s evaluating its first coefficient
+    ["apply-mr", "--lambda", "20000", "--N", "2", "--at", "1/3,1/5"],
+])
+def test_budget_ends_a_request_that_runs_past_it(argv, monkeypatch, capsys):
+    _refused_by_the_budget(argv, monkeypatch, capsys, seconds=1)
+
+
+def test_memory_budget_ends_in_the_memory_error_report():
+    # in a child, so that the address space of this process is never limited
+    child = ("import sys; from macrui import cli; cli._BUDGET_BYTES = 300 * 2 ** 20; "
+             "sys.exit(cli.main(['apply-mr', '--lambda', '1000', '--N', '4']))")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          env=_child_env(), timeout=120)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout) == {"error": {"kind": "MemoryError", "message": ""}}
+    assert proc.stderr == b""
+
+
+def _caller_alarm(signum, frame):
+    raise AssertionError("the caller's alarm fired during the request")
+
+
+def test_main_gives_the_process_back():
+    # after a result, an error report and a closed pipe, with and without a
+    # handler and a running timer of the caller's own
+    class ClosedPipe(io.TextIOBase):
+        def write(self, text):
+            raise BrokenPipeError
+
+        def fileno(self):
+            return fd
+
+    limits = resource.getrlimit(resource.RLIMIT_AS)
+    handler = signal.getsignal(signal.SIGALRM)
+    fd = os.open(os.devnull, os.O_WRONLY)
+    try:
+        for caller, timer in ((handler, 0), (_caller_alarm, 1000)):
+            signal.signal(signal.SIGALRM, caller)
+            signal.setitimer(signal.ITIMER_REAL, timer)
+            for argv, out in ((["eigenvalue", "--lambda", "2"], io.StringIO()),
+                              (["eigenvalue", "--lambda", "1,2"], io.StringIO()),
+                              (["eigenvalue", "--lambda", "2"], ClosedPipe())):
+                with redirect_stdout(out):
+                    main(argv)
+                assert signal.getsignal(signal.SIGALRM) is caller
+                delay, interval = signal.getitimer(signal.ITIMER_REAL)
+                assert timer - 10 < delay <= timer and interval == 0
+                assert resource.getrlimit(resource.RLIMIT_AS) == limits
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+        os.close(fd)
+
+
+def _budget_state():
+    return signal.getitimer(signal.ITIMER_REAL), resource.getrlimit(resource.RLIMIT_AS)
+
+
+@pytest.mark.parametrize("output", [[], ["--at", "1/2,3"], ["--format", "text"]])
+def test_budget_runs_until_the_output_is_rendered_and_stops_before_printing(
+        output, monkeypatch):
+    # the work and the rendering of its result run under the budget, every
+    # write to stdout under the caller's own timer and limit
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    budget = (cli._BUDGET_BYTES if soft == resource.RLIM_INFINITY
+              else min(cli._BUDGET_BYTES, soft), hard)
+    seen = {"work": [], "print": []}
+    row = cli._CONSTRUCTIONS["macdonald"]
+
+    def build(*args):
+        seen["work"].append(_budget_state())
+        return row.builder(*args)
+
+    def rendering(render):
+        def recorded(*args):
+            seen["work"].append(_budget_state())
+            return render(*args)
+        return recorded
+
+    class Sink(io.TextIOBase):
+        def write(self, text):
+            seen["print"].append(_budget_state())
+            return len(text)
+
+    monkeypatch.setitem(cli._CONSTRUCTIONS, "macdonald", row._replace(builder=build))
+    monkeypatch.setattr(jsonio, "scalar_to_json", rendering(jsonio.scalar_to_json))
+    monkeypatch.setattr(QTScalar, "evaluate", rendering(QTScalar.evaluate))
+    monkeypatch.setattr(MultiPoly, "__str__", rendering(MultiPoly.__str__))
+    with redirect_stdout(Sink()):
+        assert main(["macdonald", "--lambda", "2", "--N", "2"] + output) == 0
+    assert len(seen["work"]) > 1 and seen["print"]
+    for (delay, interval), limits in seen["work"]:
+        assert 0 < delay <= cli._BUDGET_SECONDS and interval == 0
+        assert limits == budget
+    assert set(seen["print"]) == {((0.0, 0.0), (soft, hard))}
+
+
+class _Bounded(io.TextIOBase):
+    """A stdout that keeps what is written to it, and fails past 1 MB."""
+    kept = ""
+
+    def write(self, text):
+        self.kept += text
+        assert len(self.kept) < 2 ** 20, "the output was not refused"
+        return len(text)
+
+
+def test_output_above_the_address_space_budget_is_refused(capsys):
+    # the image of p_20000 in two variables: 0.2 s of work, then 20,001
+    # terms that each repeat one of two coefficients, 11.2 GB of JSON
+    sink = _Bounded()
+    start = time.perf_counter()
+    with redirect_stdout(sink):
+        code = main(["apply-mr", "--lambda", "20000", "--N", "2"])
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert json.loads(sink.kept) == {"error": {
+        "kind": "BudgetExceededError",
+        "message": "the result is 11156757960 bytes long, past the budget of "
+                   f"{cli._BUDGET_BYTES} bytes"}}
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# The weight, term, size, variable, degree and work ceilings are gone.  The
+# requests they refused end in the budget's report, tested under a short
+# budget, or are answered.
+
+# for each construction, the first request above its former weight ceiling
+# that did not finish within a minute
+_ABOVE_THE_WEIGHT_CEILING = {
+    "eigenvalue": ["--lambda", "4000001"],
+    "macdonald": ["--lambda", "9", "--N", "9"],
+    "macdonald-comb": ["--lambda", "10" + ",1" * 9],
+    "skew": ["--lambda", "8" + ",1" * 8, "--mu", "1"],
+    "super": ["--lambda", "9", "--n", "1", "--m", "1"],
+    "super-comb": ["--lambda", "12" + ",1" * 11, "--n", "2", "--m", "2"],
+    "shifted": ["--lambda", "8"],
+    "shifted-comb": ["--lambda", "8"],
+    "shifted-super": ["--lambda", "8", "--n", "1", "--m", "1"],
+    "shifted-super-comb": ["--lambda", "7" + ",1" * 7, "--n", "2", "--m", "2"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_ABOVE_THE_WEIGHT_CEILING))
+def test_construction_above_its_weight_ceiling_is_refused(verb, monkeypatch, capsys):
+    _refused_by_the_budget([verb] + _ABOVE_THE_WEIGHT_CEILING[verb], monkeypatch, capsys)
+
+
+def test_eval_and_deformed_input_keep_the_construction_ceilings(monkeypatch, capsys):
+    # eval and an operator's --lambda input cost what their construction does
     two = ["--n", "1", "--m", "1"]
-    for which in ("macdonald", "shifted", "super", "shifted-super"):
-        _refused_at_once(["eval", "--which", which, "--lambda",
-                          str(_VERB_CEILINGS[which] + 1), "--mu", "1"] + two, capsys)
-    _refused_at_once(["apply-deformed-mr", "--lambda", str(_VERB_CEILINGS["super"] + 1)]
-                     + two, capsys)
+    for which, weight in (("macdonald", 9), ("shifted", 8), ("super", 9), ("shifted-super", 8)):
+        _refused_by_the_budget(["eval", "--which", which, "--lambda", str(weight), "--mu", "1"]
+                               + two, monkeypatch, capsys)
+    _refused_by_the_budget(["apply-deformed-mr", "--lambda", "9"] + two, monkeypatch, capsys)
 
 
-def test_operator_above_its_variable_ceiling_is_refused(capsys):
+def test_operator_above_its_variable_ceiling_is_refused(monkeypatch, capsys):
     # the requests the former variable ceilings, 17 and 9, refused
     N = 18
-    _refused_at_once(["apply-mr", "--lambda", "1", "--N", str(N)], capsys)
-    _refused_at_once(["apply-mr", "--lambda", ",".join(["1"] * N)], capsys)
-    poly = jsonio.poly_to_json(monomial_symmetric((1,), N))
-    _refused_at_once(["apply-mr", "--poly", json.dumps(poly)], capsys)
-    _refused_at_once(["apply-deformed-mr", "--lambda", "1", "--n", "5", "--m", "5"], capsys)
-    poly = jsonio.poly_to_json(super_macdonald((1,), 5, 5))
-    _refused_at_once(["apply-deformed-mr", "--poly", json.dumps(poly)], capsys)
+    for argv in (["apply-mr", "--lambda", "1", "--N", str(N)],
+                 ["apply-mr", "--lambda", ",".join(["1"] * N)],
+                 ["apply-mr", "--poly", json.dumps(jsonio.poly_to_json(
+                     monomial_symmetric((1,), N)))],
+                 ["apply-deformed-mr", "--lambda", "1", "--n", "5", "--m", "5"],
+                 ["apply-deformed-mr", "--poly", json.dumps(jsonio.poly_to_json(
+                     super_macdonald((1,), 5, 5)))]):
+        _refused_by_the_budget(argv, monkeypatch, capsys)
 
 
-def test_operator_above_its_degree_ceiling_is_refused(capsys):
-    # the power sums p_d above the former degree ceilings, 3,000 and 102,400
-    d = 3001
-    for N in ("2", "3"):
-        _refused_at_once(["apply-mr", "--lambda", str(d), "--N", N], capsys)
-    _refused_at_once(["apply-mr", "--lambda", "20000", "--N", "2"], capsys)
-    poly = jsonio.poly_to_json(monomial_symmetric((d,), 2))
-    _refused_at_once(["apply-mr", "--poly", json.dumps(poly)], capsys)
+def test_operator_above_its_degree_ceiling_is_refused(monkeypatch, capsys):
+    # the power sums p_d above the former degree ceilings, 3,000 and 102,400;
+    # p_3001 in two variables is answered
+    _refused_by_the_budget(["apply-mr", "--lambda", "3001", "--N", "3"], monkeypatch, capsys)
     poly = jsonio.poly_to_json(deformed_newton_sum(102401, 1, 1))
-    _refused_at_once(["apply-deformed-mr", "--poly", json.dumps(poly)], capsys)
+    _refused_by_the_budget(["apply-deformed-mr", "--poly", json.dumps(poly)],
+                           monkeypatch, capsys)
+
+
+def test_construction_requests_the_former_ceilings_refused_are_answered():
+    # a row and a column of each former weight ceiling + 1 that now finish
+    two = ["--n", "1", "--m", "1"]
+    # (9) at the default N is pinned in test_cli_digests
+    for argv in (["macdonald", "--lambda", ",".join("1" * 9)],
+                 ["macdonald-comb", "--lambda", "19"],
+                 ["macdonald-comb", "--lambda", ",".join("1" * 19)],
+                 ["skew", "--lambda", "16", "--mu", "1"],
+                 ["skew", "--lambda", ",".join("1" * 16), "--mu", "1"],
+                 ["super", "--lambda", ",".join("1" * 9)] + two,
+                 ["shifted-comb", "--lambda", ",".join("1" * 8)],
+                 ["shifted-super-comb", "--lambda", "14"] + two,
+                 ["shifted-super-comb", "--lambda", ",".join("1" * 14)] + two):
+        _answered_within(argv)
 
 
 def test_operator_requests_the_former_ceilings_refused_are_answered():
@@ -484,74 +682,25 @@ def test_operator_requests_the_former_ceilings_refused_are_answered():
     poly = jsonio.poly_to_json(MultiPoly.one(VarSpace.xy(1, 9)))
     _answered_within(["apply-deformed-mr", "--poly", json.dumps(poly)], 1)
     _answered_within(["apply-mr", "--lambda", "3001", "--N", "1"], 1)
-    # ten variables, above the former variable ceiling of 9, count 1,194,916
+    # ten variables, above the former variable ceiling of 9
     _answered_within(["apply-deformed-mr", "--lambda", "1", "--n", "9", "--m", "1"], 10)
     poly = jsonio.poly_to_json(super_macdonald((1,), 1, 9))
     _answered_within(["apply-deformed-mr", "--poly", json.dumps(poly)], 10)
+    # above the former degree and work ceilings: 3,002 and 1,823 terms over
+    # two distinct coefficients, 237 MB and 86 MB of JSON
+    assert _answered_within(["apply-mr", "--lambda", "3001", "--N", "2"]) == 236668821
+    assert _answered_within(["apply-mr", "--lambda", "1822", "--N", "2"]) == 85688439
 
 
-def test_work_count_refuses_the_found_requests(capsys):
+def test_work_count_refuses_the_found_requests(monkeypatch, capsys):
     # each passed the former variable, size and degree ceilings, or ran out
     # of memory under them
     for argv in (["--lambda", "1000", "--N", "4"], ["--lambda", "200,200", "--N", "4"],
-                 ["--lambda", "3000", "--N", "3"], ["--lambda", "4,3,2,1", "--N", "17"],
-                 ["--lambda", "1", "--N", "18"], ["--lambda", ",".join(["1"] * 18)]):
-        _refused_at_once(["apply-mr"] + argv, capsys)
-    _refused_at_once(["apply-deformed-mr", "--lambda", "1", "--n", "5", "--m", "5"], capsys)
+                 ["--lambda", "3000", "--N", "3"], ["--lambda", "4,3,2,1", "--N", "17"]):
+        _refused_by_the_budget(["apply-mr"] + argv, monkeypatch, capsys)
     poly = jsonio.poly_to_json(deformed_newton_sum(204800, 1, 1))
-    _refused_at_once(["apply-deformed-mr", "--poly", json.dumps(poly)], capsys)
-
-
-def test_work_count_before_the_build_is_at_most_the_inputs():
-    # one term with a unit coefficient stands in for a --lambda input before
-    # it is built; for m_lam it counts exactly what the --poly route would
-    for lam in [(1,), (2,), (1, 1), (2, 1), (3, 1), (2, 2), (2, 1, 1), (3, 2, 1)]:
-        for N in range(len(lam), 6):
-            f = monomial_symmetric(lam, N)
-            assert operator_work(*cli._input_term(lam, {"N": N})) == \
-                operator_work(f.terms, f.space)
-        for n, m in [(n, m) for n in range(4) for m in range(4) if n + m]:
-            f = super_macdonald(lam, n, m)
-            assert operator_work(*cli._input_term(lam, {"n": n, "m": m})) <= \
-                operator_work(f.terms, f.space), (lam, n, m)
-
-
-def test_which_work_counts_each_operator_input_meets(monkeypatch):
-    # m_lam and a --poly input are counted once; a two-alphabet --lambda input
-    # first on its one term, which refuses it before the build if it can
-    counts = []
-    monkeypatch.setattr(cli, "operator_work",
-                        lambda terms, *rest: counts.append(len(terms)) or
-                        operator_work(terms, *rest))
-    mono, two = (json.dumps(jsonio.poly_to_json(f)) for f in
-                  (monomial_symmetric((2, 1), 3), super_macdonald((2, 1), 1, 1)))
-    for argv, counted in ((["apply-mr", "--lambda", "2,1", "--N", "3"], [1]),
-                          (["apply-mr", "--poly", mono], [6]),
-                          (["apply-deformed-mr", "--poly", two], [2]),
-                          (["apply-deformed-mr", "--lambda", "2,1", "--n", "1", "--m", "1"],
-                           [1, 2]),
-                          (["apply-deformed-mr", "--lambda", "6", "--n", "9", "--m", "9"],
-                           [1])):
-        counts.clear()
-        run_cli(argv)
-        assert counts == counted, argv
-
-
-def _readme_table(columns, verbs, column):
-    """{verb: ceiling} from the README rows of this many cells naming a verb."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    table = {}
-    for line in readme.splitlines():
-        cells = [c.strip() for c in line.strip().strip("|").split("|")]
-        if len(cells) == columns and cells[0].strip("`") in verbs:
-            table[cells[0].strip("`")] = int(cells[column].replace(",", ""))
-    return table
-
-
-def test_readme_lists_the_verb_ceilings():
-    assert _readme_table(5, _VERB_CEILINGS, 2) == _VERB_CEILINGS
-    assert _readme_table(4, cli._OPERATORS, 1) == {
-        verb: op.work for verb, op in cli._OPERATORS.items()}
+    _refused_by_the_budget(["apply-deformed-mr", "--poly", json.dumps(poly)],
+                           monkeypatch, capsys)
 
 
 def test_verify_ceilings_are_listed_in_help(capsys):
@@ -590,13 +739,9 @@ def test_verify_weight_three_totals_are_pinned():
 
 
 def test_closed_stdout_exits_quietly():
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.Popen([sys.executable, "-m", "macrui.cli", "eigenvalue",
                              "--lambda", "2,1"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 1
@@ -604,12 +749,8 @@ def test_closed_stdout_exits_quietly():
 
 
 def test_python_m_macrui_runs_the_cli():
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-m", "macrui", "eigenvalue", "--lambda", "1"],
-                          capture_output=True, env=env, timeout=120)
+                          capture_output=True, env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == b""
     assert "result" in json.loads(proc.stdout)
@@ -632,12 +773,11 @@ def test_oversized_variable_count_is_refused(argv, capsys):
 
 @pytest.mark.parametrize("verb", sorted(cli._CONSTRUCTIONS))
 def test_over_cap_alphabet_is_refused_before_any_work(verb, capsys):
-    # a shape at the verb's weight ceiling in 65 variables: the alphabet is
-    # refused before the solve and the term count
-    construction = cli._CONSTRUCTIONS[verb]
-    argv = [verb, "--lambda", str(construction.weight)]
+    # a shape whose construction runs past the budget, in 65 variables: the
+    # alphabet is refused before the solve
+    argv = [verb, "--lambda", "9"]
     argv += {"N": ["--N", "65"], "mu N": ["--mu", "1", "--N", "65"],
-             "n m": ["--n", "40", "--m", "25"]}[construction.alphabet]
+             "n m": ["--n", "40", "--m", "25"]}[cli._CONSTRUCTIONS[verb].alphabet]
     start = time.perf_counter()
     code, out = run_cli(argv)
     assert time.perf_counter() - start < 1, argv
@@ -720,65 +860,44 @@ def test_memory_error_is_a_structured_report(monkeypatch, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("verb", sorted(cli._CONSTRUCTIONS))
-def test_term_count_bounds_the_rendering(verb):
-    # exact for P_lam; the skew count is taken for lam/(1)
-    builder, alphabet, _, _ = cli._CONSTRUCTIONS[verb]
-    skew = {"mu": (1,)} if alphabet == "mu N" else {}
-    for lam in [(1,), (2,), (1, 1), (2, 1), (3,), (2, 1, 1), (3, 2)]:
-        for N in range(1, 6):
-            space = {"n": N // 2, "m": N - N // 2} if alphabet == "n m" else {"N": N}
-            if alphabet == "n m" and not in_fat_hook(lam, N // 2, N - N // 2):
-                continue
-            if "N" in space and N < len(lam):
-                continue
-            terms = len(builder(lam, *skew.values(), *space.values()).terms)
-            count = cli._rendered_terms(verb, lam, space, **skew)
-            assert terms <= count, (lam, space)
-            if verb.startswith("macdonald"):
-                assert terms == count, (lam, space)
+# for each construction, the first alphabet above its former term ceiling
+# for (3, 2, 1)
+_ABOVE_THE_TERM_CEILING = {
+    "macdonald": ["--N", "30"],
+    "macdonald-comb": ["--N", "18"],
+    "skew": ["--mu", "1", "--N", "22"],
+    "super": ["--n", "10", "--m", "10"],
+    "super-comb": ["--n", "8", "--m", "8"],
+    "shifted": ["--N", "16"],
+    "shifted-comb": ["--N", "14"],
+    "shifted-super": ["--n", "7", "--m", "7"],
+    "shifted-super-comb": ["--n", "6", "--m", "6"],
+}
 
 
-def _just_above(verb, ceiling, count):
-    """The smallest variable count whose count(N) is above the ceiling."""
-    N = 1
-    while count(N) <= ceiling:
-        N += 1
-    assert N <= 64, verb
-    return N
-
-
-@pytest.mark.parametrize("verb", sorted(cli._CONSTRUCTIONS))
-def test_construction_above_its_term_ceiling_is_refused(verb, capsys):
-    builder, alphabet, _, ceiling = cli._CONSTRUCTIONS[verb]
-    lam, skew = ((3, 2, 1), {"mu": (1,)}) if alphabet == "mu N" else ((3, 2, 1), {})
-    if alphabet == "n m":
-        n = _just_above(verb, ceiling, lambda k: cli._rendered_terms(
-            verb, lam, {"n": k, "m": k}, **skew))
-        argv = ["--n", str(n), "--m", str(n)]
-    else:
-        N = _just_above(verb, ceiling, lambda k: cli._rendered_terms(
-            verb, lam, {"N": k}, **skew))
-        argv = ["--N", str(N)] + (["--mu", "1"] if skew else [])
-    _refused_at_once([verb, "--lambda", "3,2,1"] + argv, capsys)
+@pytest.mark.parametrize("verb", sorted(_ABOVE_THE_TERM_CEILING))
+def test_construction_above_its_term_ceiling_is_refused(verb, monkeypatch, capsys):
+    argv = _ABOVE_THE_TERM_CEILING[verb]
+    _refused_by_the_budget([verb, "--lambda", "3,2,1"] + argv, monkeypatch, capsys)
     if verb in ("macdonald", "shifted", "super", "shifted-super"):
-        # eval renders nothing, so the term count does not bound it
+        # eval renders nothing, so its time does not grow with the alphabet
         _answered_within(["eval", "--which", verb, "--lambda", "3,2,1", "--mu", "1"] + argv)
 
 
-def test_found_oversized_requests_are_refused(capsys):
+def test_found_oversized_requests_are_refused(monkeypatch, capsys):
     # P_(2,1,1,1) in 64 variables has 10,166,016 terms, m_(4,3,2,1) in 17
     # variables 57,120
-    _refused_at_once(["macdonald", "--lambda", "2,1,1,1", "--N", "64"], capsys)
+    _refused_by_the_budget(["macdonald", "--lambda", "2,1,1,1", "--N", "64"],
+                           monkeypatch, capsys)
     _answered_within(["eval", "--which", "macdonald", "--lambda", "2,1,1,1",
                       "--mu", ",".join(["1"] * 64)])
-    _refused_at_once(["apply-mr", "--lambda", "4,3,2,1", "--N", "17"], capsys)
-    poly = jsonio.poly_to_json(macdonald_polynomial((1, 1), 17))
-    _refused_at_once(["apply-mr", "--poly", json.dumps(poly)], capsys)
-    poly = jsonio.poly_to_json(super_macdonald((2, 1), 5, 4))
-    _refused_at_once(["apply-deformed-mr", "--poly", json.dumps(poly)], capsys)
-    _refused_at_once(["apply-deformed-mr", "--lambda", "2,1", "--n", "5", "--m", "4"],
-                     capsys)
+    for argv in (["apply-mr", "--lambda", "4,3,2,1", "--N", "17"],
+                 ["apply-mr", "--poly", json.dumps(jsonio.poly_to_json(
+                     macdonald_polynomial((1, 1), 17)))],
+                 ["apply-deformed-mr", "--poly", json.dumps(jsonio.poly_to_json(
+                     super_macdonald((2, 1), 5, 4)))],
+                 ["apply-deformed-mr", "--lambda", "2,1", "--n", "5", "--m", "4"]):
+        _refused_by_the_budget(argv, monkeypatch, capsys)
 
 
 def test_comb_verbs_refuse_more_parts_than_variables_as_their_references_do():
@@ -809,45 +928,12 @@ def test_operator_variable_count_is_refused_before_the_term_count(capsys):
         assert "Traceback" not in capsys.readouterr().err
 
 
-def test_operator_just_above_its_size_ceiling_is_refused(capsys):
-    # the next requests in the README table, and the first above the
-    # ceiling on a row, a column and a hook
-    for argv in (["--lambda", "1", "--N", "18"], ["--lambda", "2", "--N", "17"],
-                 ["--lambda", ",".join(["1"] * 18)], ["--lambda", "1,1", "--N", "16"],
-                 ["--lambda", "11" + ",1" * 11], ["--lambda", "1822", "--N", "2"]):
-        _refused_at_once(["apply-mr"] + argv, capsys)
-    for lam, n, m in (("1", 5, 5), ("1", 6, 4), ("2", 5, 4), ("1,1", 5, 4)):
-        _refused_at_once(["apply-deformed-mr", "--lambda", lam, "--n", str(n),
-                          "--m", str(m)], capsys)
-
-
-def test_readme_ceiling_rows_are_under_the_term_ceilings():
-    # the shape at each verb's weight ceiling, at its default alphabet
-    rows = {"macdonald": ((1,) * 8, {"N": 8}),
-            "macdonald-comb": ((9,) + (1,) * 9, {"N": 10}),
-            "skew": ((8,) + (1,) * 7, {"N": 8}),
-            "super": ((4, 1, 1, 1, 1), {"n": 2, "m": 2}),
-            "super-comb": ((11,) + (1,) * 11, {"n": 2, "m": 2}),
-            "shifted": ((7,), {"N": 7}),
-            "shifted-comb": ((7,), {"N": 7}),
-            "shifted-super": ((7,), {"n": 2, "m": 2}),
-            "shifted-super-comb": ((7,) + (1,) * 6, {"n": 2, "m": 2})}
-    assert set(rows) == set(cli._CONSTRUCTIONS)
-    for verb, (lam, space) in rows.items():
-        skew = {"mu": (1,)} if verb == "skew" else {}
-        assert cli._rendered_terms(verb, lam, space, **skew) <= cli._CONSTRUCTIONS[verb].terms
-    # the operator table's rows: --lambda 1 at N = 17 and at (5, 4) meet
-    # the ceilings, and the next requests pass them
-    for verb, build, below, above in (
-            ("apply-mr", monomial_symmetric, (17,), (18,)),
-            ("apply-deformed-mr", super_macdonald, (5, 4), (5, 5))):
-        def work(alphabet):
-            f = build((1,), *alphabet)
-            return operator_work(f.terms, f.space)
-        assert work(below) == cli._OPERATORS[verb].work < work(above)
-
-
-def test_readme_lists_the_size_ceilings():
-    assert _readme_table(4, {**cli._CONSTRUCTIONS, **cli._OPERATORS}, 1) == {
-        **{verb: c.terms for verb, c in cli._CONSTRUCTIONS.items()},
-        **{verb: op.work for verb, op in cli._OPERATORS.items()}}
+def test_operator_just_above_its_size_ceiling_is_refused(monkeypatch, capsys):
+    # the requests just above the former work ceiling on a row, a column and
+    # a hook; (1822) at N = 2 is answered
+    for argv in (["--lambda", "2", "--N", "17"], ["--lambda", "1,1", "--N", "16"],
+                 ["--lambda", "11" + ",1" * 11]):
+        _refused_by_the_budget(["apply-mr"] + argv, monkeypatch, capsys)
+    for lam, n, m in (("1", 6, 4), ("2", 5, 4), ("1,1", 5, 4)):
+        _refused_by_the_budget(["apply-deformed-mr", "--lambda", lam, "--n", str(n),
+                                "--m", str(m)], monkeypatch, capsys)

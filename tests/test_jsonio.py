@@ -108,6 +108,34 @@ def test_failed_evaluation_writes_nothing():
     assert buf.getvalue() == ""
 
 
+def test_ready_gets_the_exact_size_before_the_first_byte():
+    request = {"verb": "test", "lambda": [2, 1]}
+    cases = [(f, at) for _, f in POLYS for at in [None] + POINTS]
+    cases += [(mr_eigenvalue((2, 1)), at) for at in [None] + POINTS]
+    cases.append((run_suite("identities", 1), None))
+    for value, at in cases:
+        for note in (None, "outside fat hook"):
+            buf, sizes = io.StringIO(), []
+
+            def ready(size):
+                assert buf.getvalue() == ""
+                sizes.append(size)
+
+            with redirect_stdout(buf):
+                jsonio.write_result(request, value, at, note, ready)
+            assert sizes == [len(buf.getvalue().encode())]
+
+
+def test_ready_may_refuse_the_output():
+    def refuse(size):
+        raise OverflowError(size)
+
+    buf = io.StringIO()
+    with redirect_stdout(buf), pytest.raises(OverflowError):
+        jsonio.write_result({"verb": "test"}, macdonald_polynomial((2, 1), 3), None, None, refuse)
+    assert buf.getvalue() == ""
+
+
 class _Count:
     """A stdout that keeps only the number of characters written to it."""
 

@@ -1,12 +1,10 @@
 """The difference operator, its deformation, Hecke and commuting operators."""
 
 import heapq
-import math
 import random
 
 import pytest
 
-from macrui import operators
 from macrui import partitions as pt
 from macrui.errors import NonDivisibleError, NotSymmetricError
 from macrui.macdonald import macdonald_polynomial, super_macdonald
@@ -14,13 +12,13 @@ from macrui.operators import (apply_deformed_mr, apply_deformed_mr_detailed,
                               apply_mr, apply_mr_detailed, cherednik_dunkl,
                               coefficient_sum_identity, cycle_shift, hecke_T,
                               hecke_T_inv, mr_eigenvalue,
-                              operator_from_shifted_symmetric, operator_work)
-from macrui.polyring import (MultiPoly, VarSpace, _cleared, _div_difference,
+                              operator_from_shifted_symmetric)
+from macrui.polyring import (MultiPoly, VarSpace, _div_difference,
                              _divided_difference, _mul_binomial, _sub_into,
                              _transpose)
 from macrui.scalar import (P_ONE, P_Q, P_T, QTPolynomial, QTScalar, S_ONE, S_Q,
                            S_T, one_minus_q, qt_ratio)
-from macrui.symfun import (deformed_newton_sum, in_deformed_algebra, monomial_symmetric,
+from macrui.symfun import (in_deformed_algebra, monomial_symmetric,
                            restrict_p_expansion, shifted_power_sum,
                            to_monomial_expansion)
 
@@ -334,101 +332,3 @@ def test_divided_difference_matches_transpose_and_divide():
                     assert _transpose(dd, i, j) == dd
                     assert _divided_difference(_transpose(f, i, j), i, j) == \
                         {e: -c for e, c in dd.items()}
-
-
-def _largest_dict(monkeypatch, apply, f):
-    """The terms of the largest term dict that ``apply`` builds on f."""
-    largest = [0]
-
-    def recording(routine, in_place=False):
-        def wrapped(terms, *args):
-            out = routine(terms, *args)
-            d = terms if in_place else out[0] if isinstance(out, tuple) else out
-            largest[0] = max(largest[0], len(d))
-            return out
-        return wrapped
-
-    for name in ("_shift", "_mul_binomial", "_divided_difference", "_div_difference",
-                 "_scale"):
-        monkeypatch.setattr(operators, name, recording(getattr(operators, name)))
-    monkeypatch.setattr(operators, "_sub_into", recording(operators._sub_into, True))
-    apply(f)
-    monkeypatch.undo()
-    return largest[0]
-
-
-def _work(f):
-    """The count over its width factor, the largest exponent plus the terms
-    of the widest cleared numerator."""
-    width = (max(max(e) for e in f.terms)
-             + max(len(c.terms) for c in _cleared(f.terms)[0].values()))
-    return operator_work(f.terms, f.space) // width
-
-
-def test_operator_work_bounds_the_largest_dict_of_apply_mr(monkeypatch):
-    inputs = [monomial_symmetric(lam, N) for d in range(1, 7)
-              for lam in pt.partitions_of(d) for N in range(len(lam), 9)]
-    assert len(inputs) == 184
-    # P_lam as --poly input: one count per orbit m_mu, mu <= lam, summed
-    inputs += [macdonald_polynomial(lam, N) for d in range(1, 5)
-               for lam in pt.partitions_of(d) for N in range(len(lam), 6)]
-    for f in inputs:
-        peak = _largest_dict(monkeypatch, apply_mr_detailed, f)
-        assert peak <= _work(f) <= 4 * peak, f
-
-
-def test_operator_work_bounds_the_largest_dict_of_apply_deformed_mr(monkeypatch):
-    for n in range(4):
-        for m in range(4):
-            if n + m == 0:
-                continue
-            inputs = [deformed_newton_sum(d, n, m) for d in range(1, 7)]
-            inputs += [super_macdonald(lam, n, m) for d in range(1, 4)
-                       for lam in pt.partitions_of(d)]
-            for f in inputs:
-                if f.is_zero():
-                    continue
-                peak = _largest_dict(monkeypatch, apply_deformed_mr_detailed, f)
-                assert peak <= _work(f) <= 4 * peak, (f, n, m)
-
-
-def test_operator_work_pins_the_apply_mr_counts():
-    # from the formula alone, with no engine run; m_lam has unit
-    # coefficients, so the width factor is lam_1 + 1: 2 for m_(1) and
-    # m_(1^N), 4 for (3, 2, 1)
-    def work(lam, N):
-        return operator_work({lam + (0,) * (N - len(lam)): S_ONE}, VarSpace.z(N))
-
-    def closed_form(N):
-        # m_(1): max_j sum_r C(N-1-j, r) C(N-r, j)
-        return max(sum(math.comb(N - 1 - j, r) * math.comb(N - r, j) for r in range(N - j))
-                   for j in range(N))
-
-    for N in range(1, 17):
-        assert work((1,), N) == 2 * closed_form(N)
-    assert closed_form(16) == 657920
-    assert work((1,) * 16, 16) == 2 * 427264
-    # measured peak 513,092
-    assert work((3, 2, 1), 11) == 4 * 517328
-    # a constant is shifted once and cancels; the zero polynomial does nothing
-    assert work((), 18) == 1 and operator_work({}, VarSpace.z(18)) == 0
-
-
-def test_operator_work_counts_the_width_of_the_coefficients():
-    # the shifts spread a coefficient over the largest exponent, and a
-    # super polynomial's cleared numerators are wide: (4, 1) at (5, 3) ran
-    # out of memory under 2 GB when only the exponent was counted
-    f = super_macdonald((4, 1), 3, 2)
-    widest = max(len(c.terms) for c in _cleared(f.terms)[0].values())
-    assert widest > 30
-    unit = dict.fromkeys(f.terms, S_ONE)
-    assert operator_work(f.terms, f.space) * 5 == operator_work(unit, f.space) * (4 + widest)
-    f = deformed_newton_sum(1000, 1, 1)
-    assert operator_work(f.terms, f.space) == 1002 * 1002
-
-
-def test_operator_work_stops_past_its_cap():
-    lam = tuple(range(10, 0, -1)) + (0,) * 54
-    assert operator_work({lam: S_ONE}, VarSpace.z(64), cap=1000) > 1000
-    assert operator_work({(1,) + (0,) * 17: S_ONE}, VarSpace.z(18), cap=10 ** 9) \
-        == 2 * 4296192
